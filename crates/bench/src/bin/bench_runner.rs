@@ -5,7 +5,6 @@
 //! bench_runner --scale [--quick] [--out PATH]              # scale mode
 //! bench_runner --scale-xl [--quick] [--out PATH]           # scale-xl mode
 //! bench_runner --conformance [--quick] [--out PATH]        # conformance mode
-//! bench_runner --service [--quick] [--out PATH]            # service mode
 //! bench_runner --server [--quick] [--out PATH]             # server mode
 //! bench_runner --churn [--quick] [--out PATH]              # churn mode
 //! ```
@@ -55,16 +54,8 @@
 //! `dsf_congest::sched_obs_totals`), which are report-only by contract:
 //! the deterministic gates are blind to them.
 //!
-//! **Service mode** (`--service`) benchmarks the batched solver service
-//! (`dsf-service`) over the workloads corpus at batch sizes {1, 16, 256}
-//! and worker counts {1, 4}, writing `BENCH_service.json` (throughput in
-//! solves/sec). Two guarantees are asserted in-harness before any entry
-//! is emitted: batched results are bit-identical to one-at-a-time solves,
-//! and warm sessions allocate no arenas. Like scale mode there is no
-//! baseline (`--check` is rejected) — wall-clock is the product.
-//!
 //! **Churn mode** (`--churn`) replays the seeded arrival/departure/
-//! reweight traces (`dsf_workloads::churn`) through the solver service's
+//! reweight traces (`dsf_workloads::churn`) through the solver session's
 //! delta API and writes `BENCH_churn.json` (repair-vs-scratch speedup,
 //! moves per delta, deterministic anchor rounds/messages). In-harness
 //! gates: every repaired forest passes the churn-differential oracle
@@ -82,14 +73,12 @@ use dsf_bench::churn;
 use dsf_bench::conformance;
 use dsf_bench::perf::{self, BenchReport};
 use dsf_bench::server;
-use dsf_bench::service;
 
 const USAGE: &str = "\
 usage: bench_runner [--quick] [--out PATH] [--check BASELINE]
        bench_runner --scale [--quick] [--out PATH]
        bench_runner --scale-xl [--quick] [--out PATH]
        bench_runner --conformance [--quick] [--out PATH]
-       bench_runner --service [--quick] [--out PATH]
        bench_runner --server [--quick] [--out PATH]
        bench_runner --churn [--quick] [--out PATH]
 
@@ -108,9 +97,6 @@ usage: bench_runner [--quick] [--out PATH] [--check BASELINE]
                  in-harness bytes-per-node budget assert)
   --conformance  run the corpus conformance sweep instead of the executor
                  benchmarks
-  --service      run the batched solver-service tier (throughput at batch
-                 sizes 1/16/256, worker counts 1/4, with in-harness
-                 batching-determinism and zero-allocation asserts)
   --server       run the streaming-server tier (open-loop load at x0.5/x1/x2
                  of measured capacity, p50/p99 latency, with in-harness
                  admission-control and bit-identity asserts)
@@ -123,7 +109,6 @@ struct Args {
     scale: bool,
     scale_xl: bool,
     conformance: bool,
-    service: bool,
     server: bool,
     churn: bool,
     out: Option<String>,
@@ -141,7 +126,6 @@ fn parse(raw: &[String]) -> Result<Args, String> {
         scale: false,
         scale_xl: false,
         conformance: false,
-        service: false,
         server: false,
         churn: false,
         out: None,
@@ -162,7 +146,6 @@ fn parse(raw: &[String]) -> Result<Args, String> {
             "--scale" => args.scale = true,
             "--scale-xl" => args.scale_xl = true,
             "--conformance" => args.conformance = true,
-            "--service" => args.service = true,
             "--server" => args.server = true,
             "--churn" => args.churn = true,
             "--out" => args.out = Some(path_value("--out", it.next())?),
@@ -170,12 +153,7 @@ fn parse(raw: &[String]) -> Result<Args, String> {
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    if (args.conformance
-        || args.scale
-        || args.scale_xl
-        || args.service
-        || args.server
-        || args.churn)
+    if (args.conformance || args.scale || args.scale_xl || args.server || args.churn)
         && args.check.is_some()
     {
         return Err("--check applies to executor mode only".into());
@@ -184,7 +162,6 @@ fn parse(raw: &[String]) -> Result<Args, String> {
         args.conformance,
         args.scale,
         args.scale_xl,
-        args.service,
         args.server,
         args.churn,
     ]
@@ -193,11 +170,9 @@ fn parse(raw: &[String]) -> Result<Args, String> {
     .count()
         > 1
     {
-        return Err(
-            "--scale, --scale-xl, --conformance, --service, --server, and --churn \
+        return Err("--scale, --scale-xl, --conformance, --server, and --churn \
              are mutually exclusive"
-                .into(),
-        );
+            .into());
     }
     Ok(args)
 }
@@ -210,8 +185,6 @@ fn main() -> ExitCode {
     };
     if args.conformance {
         run_conformance(&args)
-    } else if args.service {
-        run_service(&args)
     } else if args.server {
         run_server(&args)
     } else if args.churn {
@@ -359,49 +332,6 @@ fn run_churn(args: &Args) -> ExitCode {
         "\nchurn gate: every repair feasible, within the certified bound, <= scratch weight; \
          replay bit-identical across thread counts; >=2x speedup on {fast} of {} steps",
         report.entries.len()
-    );
-    ExitCode::SUCCESS
-}
-
-fn run_service(args: &Args) -> ExitCode {
-    let out_path = args
-        .out
-        .clone()
-        .unwrap_or_else(|| "BENCH_service.json".into());
-    // collect() panics (non-zero exit) if a determinism or allocation
-    // guarantee is violated — those asserts are this mode's gate.
-    let report = service::collect(args.quick);
-    if let Err(e) = std::fs::write(&out_path, report.to_json()) {
-        eprintln!("cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-
-    println!(
-        "# bench_runner --service ({} mode) -> {out_path}\n# {}\n# {}\n",
-        report.mode,
-        threads_header(),
-        sched_obs_header()
-    );
-    println!(
-        "{:<44} {:>5} {:>3} {:>9} {:>11} {:>7} {:>7} {:>12} {:>10}",
-        "workload", "jobs", "w", "rounds", "messages", "reuses", "builds", "wall", "solves/s"
-    );
-    for e in &report.entries {
-        println!(
-            "{:<44} {:>5} {:>3} {:>9} {:>11} {:>7} {:>7} {:>9.3} ms {:>10.3}",
-            e.name,
-            e.jobs,
-            e.workers,
-            e.rounds,
-            e.messages,
-            e.arena_reuses,
-            e.arena_builds,
-            e.wall_ns as f64 / 1e6,
-            e.solves_per_sec_milli as f64 / 1000.0,
-        );
-    }
-    println!(
-        "\nservice gate: batched == sequential (bit-identical) and 0 steady-state arena builds"
     );
     ExitCode::SUCCESS
 }

@@ -28,9 +28,9 @@
 //! do not count toward the speed gate: the tier measures churn against a
 //! warm session, not the cost of first filling the cache.
 //!
-//! Like the `--scale` and `--service` tiers there is no checked-in
-//! baseline (`--check` is rejected): wall-clock is the product and the
-//! in-harness asserts are the gate.
+//! Like the `--scale` tier there is no checked-in baseline (`--check` is
+//! rejected): wall-clock is the product and the in-harness asserts are
+//! the gate.
 //!
 //! # JSON schema (`dsf-bench-churn/v1`)
 //!

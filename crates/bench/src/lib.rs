@@ -8,8 +8,7 @@
 //! measurements. `bench_runner` emits the JSON trajectories CI gates on:
 //! [`perf`] (`dsf-bench-executor/v3`, executor and solver metrics),
 //! [`conformance`] (`dsf-bench-conformance/v1`, per-family ratio
-//! distribution), [`service`] (`dsf-bench-service/v1`, batched-service
-//! throughput), [`server`] (`dsf-bench-server/v1`, streaming-server
+//! distribution), [`server`] (`dsf-bench-server/v1`, streaming-server
 //! latency under open-loop load), and [`churn`] (`dsf-bench-churn/v1`,
 //! delta-repair speedup over from-scratch solves on churn traces).
 //!
@@ -41,7 +40,6 @@ pub mod conformance;
 pub mod experiments;
 pub mod perf;
 pub mod server;
-pub mod service;
 
 pub use table::Table;
 

@@ -25,9 +25,9 @@
 //! session, and that *every* offered job came back (admitted jobs are
 //! never silently dropped).
 //!
-//! Like the `--scale` and `--service` tiers there is no checked-in
-//! baseline (`--check` is rejected): wall-clock is the product, and the
-//! correctness gates are the in-harness asserts.
+//! Like the `--scale` tier there is no checked-in baseline (`--check` is
+//! rejected): wall-clock is the product, and the correctness gates are
+//! the in-harness asserts.
 //!
 //! # JSON schema (`dsf-bench-server/v1`)
 //!

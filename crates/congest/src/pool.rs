@@ -17,8 +17,8 @@ use crate::message::Message;
 /// arena for its `(message type, graph)` key), `reuses` counts checkouts
 /// served by clearing a pooled arena in place. A warmed-up session solving
 /// the same graph repeatedly holds `builds` constant while `reuses` grows —
-/// the steady-state zero-allocation property `bench_runner --service`
-/// asserts.
+/// the steady-state zero-allocation property the `dsf-server` tests
+/// assert.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Checkouts served by resetting a pooled arena in place (no
@@ -50,7 +50,7 @@ pub struct PoolStats {
 /// [`RunBuffers::reset_for`]-cleared before every run, so results stay
 /// bit-identical with or without a pool (the determinism contract of
 /// [`crate::run`] is unaffected; property-tested in this module and
-/// end-to-end by `bench_runner --service`).
+/// end-to-end by the `dsf-server` batch tests).
 ///
 /// The pool is plain owned data (`Send`), so a solver session can carry
 /// it from batch to batch and across worker threads; it is only

@@ -105,8 +105,8 @@ static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// Scoped per-thread override installed by [`with_threads`], consulted
-    /// before the process-wide default. Lets a scheduler (the solver
-    /// service) pin the dispatch of the solves *it* runs without
+    /// before the process-wide default. Lets a scheduler (the solve
+    /// server) pin the dispatch of the solves *it* runs without
     /// perturbing concurrent users of [`crate::run`] on other threads.
     static THREAD_OVERRIDE: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
 }
@@ -164,7 +164,7 @@ pub fn set_default_threads(threads: usize) {
 /// `threads` workers (clamped to ≥ 1), restoring the previous state on
 /// exit — including on unwind. Unlike [`set_default_threads`] this is
 /// purely thread-local: concurrent runs on other threads are unaffected,
-/// which is how the solver service schedules batches without perturbing
+/// which is how the solve server schedules its lanes without perturbing
 /// anyone else's configuration. Nesting is allowed; the innermost
 /// override wins.
 pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {

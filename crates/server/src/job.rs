@@ -56,6 +56,9 @@ pub enum JobStatus {
     Completed(Box<JobOutcome>),
     /// The solver raised a model violation.
     Failed(SimError),
+    /// The solver panicked; the payload's message. The panic is isolated
+    /// to this job — the lane keeps serving with a fresh session.
+    Panicked(String),
     /// [`JobHandle::cancel`] was observed before dispatch.
     Cancelled,
     /// The job was still queued when its [`JobOptions::deadline`] passed.

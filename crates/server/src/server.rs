@@ -1,15 +1,21 @@
-//! The streaming reactor: bounded admission, two dispatch lanes, and the
-//! result stream.
+//! The streaming reactor: bounded admission, two dispatch lanes, the
+//! result stream, and the batch wrapper over them.
 
+use std::any::Any;
 use std::collections::BinaryHeap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use dsf_congest::default_threads;
-use dsf_service::{ServiceConfig, SolveRequest, SolverSession};
+use dsf_service::{ServiceReport, SolveRequest, SolverSession};
 
 use crate::job::{JobHandle, JobOptions, JobResult, JobShared, JobStatus};
+
+/// The default [`ServerConfig::large_node_threshold`]: graphs with at
+/// least this many nodes take the large lane.
+pub const DEFAULT_LARGE_NODE_THRESHOLD: usize = 50_000;
 
 /// What [`StreamingServer::submit`] does when the admission queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -36,20 +42,19 @@ pub struct ServerConfig {
     /// What `submit` does when the queue is full.
     pub admission: AdmissionPolicy,
     /// Jobs whose graph has at least this many nodes take the large lane
-    /// (same split as [`ServiceConfig::large_node_threshold`]).
+    /// ([`ServerConfig::is_large`]).
     pub large_node_threshold: usize,
 }
 
 impl Default for ServerConfig {
     /// `DSF_THREADS` workers, a 1024-deep queue, blocking admission, and
-    /// the service-layer default large-job threshold.
+    /// a [`DEFAULT_LARGE_NODE_THRESHOLD`]-node large-job threshold.
     fn default() -> Self {
-        let svc = ServiceConfig::default();
         ServerConfig {
             workers: default_threads(),
             queue_capacity: 1024,
             admission: AdmissionPolicy::Block,
-            large_node_threshold: svc.large_node_threshold,
+            large_node_threshold: DEFAULT_LARGE_NODE_THRESHOLD,
         }
     }
 }
@@ -64,14 +69,12 @@ impl ServerConfig {
         self
     }
 
-    /// The service-layer view of this config; job classification goes
-    /// through [`ServiceConfig::is_large`] so the server and
-    /// [`dsf_service::SolverService`] can never disagree on a job's lane.
-    pub fn service_config(&self) -> ServiceConfig {
-        ServiceConfig {
-            workers: self.workers,
-            large_node_threshold: self.large_node_threshold,
-        }
+    /// Whether a graph with `nodes` nodes takes the large lane (sharded
+    /// whole-pool execution) rather than the small lane: large means **at
+    /// least** [`ServerConfig::large_node_threshold`] nodes, so a graph
+    /// with exactly threshold nodes is large.
+    pub fn is_large(&self, nodes: usize) -> bool {
+        nodes >= self.large_node_threshold
     }
 }
 
@@ -86,6 +89,14 @@ pub enum ServerError {
     },
     /// [`StreamingServer::shutdown`] was called; no new jobs are admitted.
     ShuttingDown,
+    /// The request's instance was built for a graph of a different size
+    /// than the graph it is paired with.
+    InstanceMismatch {
+        /// Nodes of the graph the instance was built on.
+        instance_nodes: usize,
+        /// Nodes of the request's graph.
+        graph_nodes: usize,
+    },
 }
 
 impl std::fmt::Display for ServerError {
@@ -95,11 +106,60 @@ impl std::fmt::Display for ServerError {
                 write!(f, "admission queue saturated ({capacity} jobs queued)")
             }
             ServerError::ShuttingDown => write!(f, "server is shutting down"),
+            ServerError::InstanceMismatch {
+                instance_nodes,
+                graph_nodes,
+            } => write!(
+                f,
+                "instance built on {instance_nodes} nodes paired with a {graph_nodes}-node graph"
+            ),
         }
     }
 }
 
 impl std::error::Error for ServerError {}
+
+/// Why [`StreamingServer::run_batch`] returned no report. It names the
+/// lowest-index request that did not complete.
+#[derive(Debug, Clone)]
+pub enum BatchError {
+    /// The request was not admitted (so neither was any later one).
+    Refused {
+        /// Position of the request in the batch.
+        index: usize,
+        /// The request's caller-chosen id.
+        id: String,
+        /// Why admission refused it.
+        error: ServerError,
+    },
+    /// The request was admitted but ended without completing.
+    NotCompleted {
+        /// Position of the request in the batch.
+        index: usize,
+        /// The request's caller-chosen id.
+        id: String,
+        /// How the job ended.
+        status: JobStatus,
+    },
+}
+
+impl std::fmt::Display for BatchError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BatchError::Refused { index, id, error } => {
+                write!(f, "batch request {index} ({id}) refused: {error}")
+            }
+            BatchError::NotCompleted { index, id, status } => {
+                write!(
+                    f,
+                    "batch request {index} ({id}) did not complete: {status:?}"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for BatchError {}
 
 /// One admitted, not-yet-dispatched job.
 #[derive(Debug)]
@@ -178,14 +238,13 @@ enum Lane {
 
 /// A long-lived streaming front-end over the solver stack.
 ///
-/// Where [`dsf_service::SolverService`] is batch-synchronous (hand over a
-/// `Vec`, block until the last job drains), a `StreamingServer` accepts a
-/// continuous stream of [`SolveRequest`]s:
+/// A `StreamingServer` accepts a continuous stream of [`SolveRequest`]s:
 ///
 /// * [`StreamingServer::submit`] admits one job into a **bounded queue**
 ///   ([`ServerConfig::queue_capacity`]); a full queue either blocks the
 ///   producer or rejects with [`ServerError::Saturated`] per the
-///   [`AdmissionPolicy`];
+///   [`AdmissionPolicy`], and a request whose instance does not fit its
+///   graph is rejected with [`ServerError::InstanceMismatch`];
 /// * jobs carry per-request **priorities** and optional **deadlines**
 ///   ([`JobOptions`]); an expired job is never dispatched and is reported
 ///   as [`JobStatus::DeadlineExpired`], and [`JobHandle::cancel`] drops a
@@ -198,10 +257,12 @@ enum Lane {
 ///   [`ServerConfig::large_node_threshold`] nodes) run on `workers`
 ///   session-warm worker threads while jobs at or above the threshold
 ///   drain one at a time on a dedicated large lane, each with the whole
-///   `workers`-thread sharded executor — the same split
-///   [`dsf_service::SolverService`] makes, via the same
-///   [`ServiceConfig::is_large`] classifier, except the small lanes keep
-///   flowing while a large job runs.
+///   `workers`-thread sharded executor ([`ServerConfig::is_large`]); the
+///   small lanes keep flowing while a large job runs;
+/// * a solver panic is **isolated** to its job: it is reported as
+///   [`JobStatus::Panicked`] and the lane carries on with a fresh session;
+/// * [`StreamingServer::run_batch`] is the batch front-end: submit every
+///   request, collect the outcomes in request order.
 ///
 /// Scheduling is invisible in the results: every completed job's
 /// deterministic fields (forest, full round ledger, weight, ratio) are
@@ -241,7 +302,6 @@ enum Lane {
 #[derive(Debug)]
 pub struct StreamingServer {
     cfg: ServerConfig,
-    svc: ServiceConfig,
     shared: Arc<Shared>,
     /// The server-wide result stream (workers hold the senders).
     results: Mutex<mpsc::Receiver<JobResult>>,
@@ -255,7 +315,6 @@ impl StreamingServer {
     /// fields are clamped ([`ServerConfig::normalized`]).
     pub fn new(cfg: ServerConfig) -> Self {
         let cfg = cfg.normalized();
-        let svc = cfg.service_config();
         let shared = Arc::new(Shared {
             state: Mutex::new(State::default()),
             small_ready: Condvar::new(),
@@ -287,7 +346,6 @@ impl StreamingServer {
         }
         StreamingServer {
             cfg,
-            svc,
             shared,
             results: Mutex::new(rx),
             threads,
@@ -320,8 +378,7 @@ impl StreamingServer {
     ///
     /// # Errors
     ///
-    /// [`ServerError::Saturated`] under [`AdmissionPolicy::Reject`] with a
-    /// full queue; [`ServerError::ShuttingDown`] after shutdown.
+    /// As [`StreamingServer::submit_with`].
     pub fn submit(&self, req: SolveRequest) -> Result<JobHandle, ServerError> {
         self.submit_with(req, JobOptions::default())
     }
@@ -330,18 +387,100 @@ impl StreamingServer {
     ///
     /// Admission is the only place backpressure applies: once admitted, a
     /// job is guaranteed a terminal [`JobResult`] (completed, failed,
-    /// cancelled, or deadline-expired).
+    /// panicked, cancelled, or deadline-expired).
     ///
     /// # Errors
     ///
-    /// [`ServerError::Saturated`] under [`AdmissionPolicy::Reject`] with a
-    /// full queue; [`ServerError::ShuttingDown`] after shutdown (including
-    /// while blocked waiting for a slot).
+    /// [`ServerError::InstanceMismatch`] if the request's instance was
+    /// built for a graph of another size; [`ServerError::Saturated`] under
+    /// [`AdmissionPolicy::Reject`] with a full queue;
+    /// [`ServerError::ShuttingDown`] after shutdown (including while
+    /// blocked waiting for a slot).
     pub fn submit_with(
         &self,
         req: SolveRequest,
         opts: JobOptions,
     ) -> Result<JobHandle, ServerError> {
+        self.admit(req, opts, self.cfg.admission)
+    }
+
+    /// Runs a batch to completion: submits every request, waits for each
+    /// job, and reports the outcomes in request order, every job's ledger
+    /// re-checked against the `B`-bit budget
+    /// ([`ServiceReport::violations`]).
+    ///
+    /// A full queue makes the batch wait for space under either
+    /// [`AdmissionPolicy`], so a batch longer than
+    /// [`ServerConfig::queue_capacity`] still runs whole. Batch jobs are
+    /// ordinary jobs: they share the lanes with streamed submissions, and
+    /// their results also arrive on the server-wide result stream. On a
+    /// paused server the call blocks until [`StreamingServer::resume`].
+    ///
+    /// Every completed outcome's deterministic fields are bit-identical to
+    /// solving its request alone on a fresh session.
+    ///
+    /// # Errors
+    ///
+    /// [`BatchError`] names the lowest-index request that did not
+    /// complete: refused at admission (nothing after it is submitted), or
+    /// admitted and then failed, panicked, cancelled, or expired. Batch
+    /// jobs already admitted still run and report on the result stream.
+    pub fn run_batch(&self, requests: &[SolveRequest]) -> Result<ServiceReport, BatchError> {
+        let t0 = Instant::now();
+        let mut handles = Vec::with_capacity(requests.len());
+        let mut refused = None;
+        for (index, req) in requests.iter().enumerate() {
+            match self.admit(req.clone(), JobOptions::default(), AdmissionPolicy::Block) {
+                Ok(handle) => handles.push(handle),
+                Err(error) => {
+                    refused = Some(BatchError::Refused {
+                        index,
+                        id: req.id.clone(),
+                        error,
+                    });
+                    break;
+                }
+            }
+        }
+        let mut jobs = Vec::with_capacity(handles.len());
+        for (index, handle) in handles.iter().enumerate() {
+            match handle.wait().status {
+                JobStatus::Completed(out) => jobs.push(*out),
+                status => {
+                    return Err(BatchError::NotCompleted {
+                        index,
+                        id: handle.id.clone(),
+                        status,
+                    })
+                }
+            }
+        }
+        if let Some(err) = refused {
+            return Err(err);
+        }
+        let wall_ns = t0.elapsed().as_nanos() as u64;
+        Ok(ServiceReport::new(
+            requests,
+            jobs,
+            self.cfg.workers,
+            wall_ns,
+        ))
+    }
+
+    /// Admits one job under `policy`; the single admission path behind
+    /// [`StreamingServer::submit_with`] and [`StreamingServer::run_batch`].
+    fn admit(
+        &self,
+        req: SolveRequest,
+        opts: JobOptions,
+        policy: AdmissionPolicy,
+    ) -> Result<JobHandle, ServerError> {
+        if req.instance.n() != req.graph.n() {
+            return Err(ServerError::InstanceMismatch {
+                instance_nodes: req.instance.n(),
+                graph_nodes: req.graph.n(),
+            });
+        }
         let mut st = self.shared.lock();
         loop {
             if st.closed {
@@ -350,7 +489,7 @@ impl StreamingServer {
             if st.queued() < self.shared.capacity {
                 break;
             }
-            match self.cfg.admission {
+            match policy {
                 AdmissionPolicy::Reject => {
                     return Err(ServerError::Saturated {
                         capacity: self.shared.capacity,
@@ -368,7 +507,7 @@ impl StreamingServer {
             id: req.id.clone(),
             shared: shared.clone(),
         };
-        let large = self.svc.is_large(req.graph.n());
+        let large = self.cfg.is_large(req.graph.n());
         let job = QueuedJob {
             job_id,
             seq: job_id,
@@ -430,7 +569,21 @@ impl StreamingServer {
     /// job reach a terminal result (cancellations and expired deadlines
     /// included), and joins the worker threads. Idempotent; also run by
     /// `Drop`. Buffered results remain receivable afterwards.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic that killed a worker thread outside any solve
+    /// (solver panics never do: they end their job as
+    /// [`JobStatus::Panicked`]). `Drop` swallows it instead.
     pub fn shutdown(&mut self) {
+        if let Some(payload) = self.close_and_join() {
+            std::panic::resume_unwind(payload);
+        }
+    }
+
+    /// The body of [`StreamingServer::shutdown`]; returns the first worker
+    /// panic instead of raising it.
+    fn close_and_join(&mut self) -> Option<Box<dyn Any + Send>> {
         {
             let mut st = self.shared.lock();
             st.closed = true;
@@ -440,17 +593,21 @@ impl StreamingServer {
         self.shared.small_ready.notify_all();
         self.shared.large_ready.notify_all();
         self.shared.space.notify_all();
+        let mut first_panic = None;
         for t in self.threads.drain(..) {
             if let Err(payload) = t.join() {
-                std::panic::resume_unwind(payload);
+                first_panic.get_or_insert(payload);
             }
         }
+        first_panic
     }
 }
 
 impl Drop for StreamingServer {
     fn drop(&mut self) {
-        self.shutdown();
+        // Raising here could abort an unwinding owner; `shutdown` is the
+        // place to observe worker panics.
+        let _ = self.close_and_join();
     }
 }
 
@@ -490,7 +647,9 @@ fn worker_loop(shared: &Shared, lane: Lane, threads: usize, tx: &mpsc::Sender<Jo
 }
 
 /// Resolves one popped job: cancellation and deadline are checked *before*
-/// dispatch, so an unwanted job never burns a solve.
+/// dispatch, so an unwanted job never burns a solve. A panicking solve
+/// ends its job as [`JobStatus::Panicked`] and leaves the lane a fresh
+/// session, since the old pool may have been mid-scope.
 fn resolve(
     session: &mut SolverSession,
     job: QueuedJob,
@@ -504,9 +663,15 @@ fn resolve(
     } else if job.deadline.is_some_and(|d| dispatched >= d) {
         JobStatus::DeadlineExpired
     } else {
-        match session.solve_with_threads(&job.req, threads) {
-            Ok(out) => JobStatus::Completed(Box::new(out)),
-            Err(e) => JobStatus::Failed(e),
+        match catch_unwind(AssertUnwindSafe(|| {
+            session.solve_with_threads(&job.req, threads)
+        })) {
+            Ok(Ok(out)) => JobStatus::Completed(Box::new(out)),
+            Ok(Err(e)) => JobStatus::Failed(e),
+            Err(payload) => {
+                *session = SolverSession::new();
+                JobStatus::Panicked(panic_message(payload.as_ref()))
+            }
         }
     };
     let result = JobResult {
@@ -521,4 +686,14 @@ fn resolve(
     // The receiver lives in the server façade; if the façade is mid-drop
     // the handle above already carries the result.
     let _ = tx.send(result);
+}
+
+/// The message of a caught panic (`panic!` payloads are a `&str` or a
+/// `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into())
 }

@@ -1,16 +1,22 @@
 //! Acceptance tests of the streaming server: admission control must
 //! backpressure (never deadlock), every admitted job must be reported
-//! exactly once, and queueing must be invisible in the results.
+//! exactly once — a panicking solve included — and queueing and batching
+//! must be invisible in the results.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use dsf_graph::{generators, NodeId, WeightedGraph};
 use dsf_server::{
-    AdmissionPolicy, JobOptions, JobStatus, ServerConfig, ServerError, StreamingServer,
+    AdmissionPolicy, BatchError, JobOptions, JobStatus, ServerConfig, ServerError, StreamingServer,
+    DEFAULT_LARGE_NODE_THRESHOLD,
 };
-use dsf_service::{SolveRequest, SolverKind, SolverSession};
+use dsf_service::{JobOutcome, ServiceReport, SolveRequest, SolverKind, SolverSession};
 use dsf_steiner::{Instance, InstanceBuilder};
+
+/// Upper bound on any single wait in these tests; a regression that
+/// loses a job fails the test instead of hanging it.
+const WAIT: Duration = Duration::from_secs(60);
 
 fn small_case() -> (Arc<WeightedGraph>, Instance) {
     let g = Arc::new(generators::gnp_connected(24, 0.18, 9, 3));
@@ -200,7 +206,8 @@ fn graph_with_exactly_threshold_nodes_takes_the_large_lane() {
         large_node_threshold: g.n(),
         ..Default::default()
     });
-    assert!(server.config().service_config().is_large(g.n()));
+    assert!(server.config().is_large(g.n()));
+    assert!(!server.config().is_large(g.n() - 1));
     let req = request("boundary", &g, &inst, 5);
     let handle = server.submit(req.clone()).expect("admitted");
     let out = handle.wait();
@@ -315,4 +322,293 @@ fn zero_workers_and_zero_capacity_are_clamped_to_one() {
         .expect("drains")
         .status
         .is_completed());
+}
+
+/// A deterministic mixed batch: two graphs, all four solver kinds, two
+/// seeds per kind (8 jobs).
+fn mixed_requests() -> Vec<SolveRequest> {
+    let (g1, i1) = small_case();
+    let g2 = Arc::new(generators::grid(4, 6, 8, 1));
+    let i2 = InstanceBuilder::new(&g2)
+        .component(&[NodeId(0), NodeId(23)])
+        .component(&[NodeId(5), NodeId(18)])
+        .build()
+        .unwrap();
+    let mut reqs = Vec::new();
+    for (s, &solver) in SolverKind::ALL.iter().enumerate() {
+        for seed in [s as u64, s as u64 + 10] {
+            let (g, inst) = if seed % 2 == 0 {
+                (&g1, &i1)
+            } else {
+                (&g2, &i2)
+            };
+            reqs.push(SolveRequest::new(
+                format!("{}-{seed}", solver.name()),
+                g.clone(),
+                inst.clone(),
+                solver,
+                seed,
+            ));
+        }
+    }
+    reqs
+}
+
+/// The one-at-a-time reference: every request on its own fresh session.
+fn fresh_solves(requests: &[SolveRequest]) -> Vec<JobOutcome> {
+    requests
+        .iter()
+        .map(|r| SolverSession::new().solve(r).expect("clean solve"))
+        .collect()
+}
+
+fn assert_matches_fresh(report: &ServiceReport, reference: &[JobOutcome], ctx: &str) {
+    assert_eq!(report.jobs.len(), reference.len(), "{ctx}");
+    assert!(
+        report.violations.is_empty(),
+        "{ctx}: {:?}",
+        report.violations
+    );
+    for (job, want) in report.jobs.iter().zip(reference) {
+        assert!(
+            job.deterministic_eq(want),
+            "{ctx}: job {} diverged from its fresh-session solve",
+            job.id
+        );
+    }
+}
+
+/// Runs `run_batch` on a helper thread that owns the server, so a hang
+/// fails the test within [`WAIT`]; hands the server back for shutdown.
+fn run_batch_bounded(
+    server: StreamingServer,
+    requests: Vec<SolveRequest>,
+) -> (StreamingServer, Result<ServiceReport, BatchError>) {
+    let (tx, rx) = mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let res = server.run_batch(&requests);
+        let _ = tx.send((server, res));
+    });
+    let got = rx
+        .recv_timeout(WAIT)
+        .expect("run_batch returns in bounded time");
+    helper
+        .join()
+        .expect("the batch helper thread does not panic");
+    got
+}
+
+#[test]
+fn batched_results_are_bit_identical_to_sequential_at_every_worker_count() {
+    let requests = mixed_requests();
+    let reference = fresh_solves(&requests);
+    for workers in [1, 2, 4] {
+        let server = StreamingServer::new(ServerConfig {
+            workers,
+            ..Default::default()
+        });
+        let report = server.run_batch(&requests).expect("clean batch");
+        assert_eq!(report.workers, workers);
+        assert_matches_fresh(&report, &reference, &format!("workers={workers}"));
+    }
+}
+
+#[test]
+fn large_jobs_take_the_whole_pool_and_still_match_sequential() {
+    let requests = mixed_requests();
+    // Threshold 1 node: every job is large and runs sharded on the large
+    // lane with all four workers as executor threads.
+    let server = StreamingServer::new(ServerConfig {
+        workers: 4,
+        large_node_threshold: 1,
+        ..Default::default()
+    });
+    let report = server.run_batch(&requests).expect("clean batch");
+    assert_matches_fresh(&report, &fresh_solves(&requests), "large lane");
+}
+
+#[test]
+fn report_carries_ratios_and_request_order() {
+    let g = Arc::new(generators::path(6, 2));
+    let inst = InstanceBuilder::new(&g)
+        .component(&[NodeId(0), NodeId(5)])
+        .build()
+        .unwrap();
+    // OPT on a weight-2 path of 5 edges is exactly 10.
+    let requests: Vec<_> = (0..3)
+        .map(|seed| {
+            SolveRequest::new(
+                format!("p{seed}"),
+                g.clone(),
+                inst.clone(),
+                SolverKind::Deterministic,
+                seed,
+            )
+            .with_cert_upper(10)
+        })
+        .collect();
+    let server = StreamingServer::new(ServerConfig {
+        workers: 2,
+        ..Default::default()
+    });
+    let report = server.run_batch(&requests).expect("clean batch");
+    for (i, job) in report.jobs.iter().enumerate() {
+        assert_eq!(job.id, format!("p{i}"), "request order preserved");
+        assert_eq!(job.weight, 10);
+        assert_eq!(job.ratio_milli, Some(1000));
+    }
+}
+
+#[test]
+fn warm_sessions_allocate_no_arenas_in_steady_state() {
+    let requests = mixed_requests();
+    let mut session = SolverSession::new();
+    let cold: Vec<_> = requests
+        .iter()
+        .map(|r| session.solve(r).expect("clean solve"))
+        .collect();
+    let warm = session.pool_stats();
+    assert!(warm.builds > 0, "the cold pass must have built arenas");
+    let steady: Vec<_> = requests
+        .iter()
+        .map(|r| session.solve(r).expect("clean solve"))
+        .collect();
+    let stats = session.pool_stats();
+    assert_eq!(
+        stats.builds, warm.builds,
+        "steady-state solves must not allocate arenas"
+    );
+    assert!(stats.reuses > warm.reuses, "reuse counters must grow");
+    for (a, b) in cold.iter().zip(&steady) {
+        assert!(a.deterministic_eq(b), "reuse perturbed {}", a.id);
+    }
+}
+
+#[test]
+fn run_batch_longer_than_the_queue_completes_under_reject() {
+    let requests = mixed_requests();
+    // 8 jobs through a 2-deep queue whose policy would refuse a plain
+    // `submit`: the batch waits for space itself.
+    let server = StreamingServer::new(ServerConfig {
+        workers: 1,
+        queue_capacity: 2,
+        admission: AdmissionPolicy::Reject,
+        ..Default::default()
+    });
+    let (mut server, res) = run_batch_bounded(server, requests.clone());
+    let report = res.expect("a batch never sees Saturated");
+    assert_matches_fresh(&report, &fresh_solves(&requests), "reject policy");
+    server.shutdown();
+}
+
+/// Probe: a request pairing a 10-node graph with an instance built on a
+/// 40-node graph used to panic inside the deterministic solver and kill
+/// the lane worker, losing that job and every later one on the lane.
+#[test]
+fn mismatched_instance_is_refused_at_submit() {
+    let g10 = Arc::new(generators::gnp_connected(10, 0.4, 9, 1));
+    let g40 = generators::gnp_connected(40, 0.2, 9, 1);
+    let inst40 = InstanceBuilder::new(&g40)
+        .component(&[NodeId(0), NodeId(39)])
+        .build()
+        .unwrap();
+    let bad = SolveRequest::new("bad", g10, inst40, SolverKind::Deterministic, 0);
+    let mismatch = ServerError::InstanceMismatch {
+        instance_nodes: 40,
+        graph_nodes: 10,
+    };
+    let server = StreamingServer::new(ServerConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    assert_eq!(server.submit(bad.clone()).unwrap_err(), mismatch);
+    assert_eq!(server.queued(), 0, "a refused request is never queued");
+
+    // The single worker still serves the next valid job.
+    let (g, inst) = small_case();
+    let next = request("next", &g, &inst, 3);
+    let handle = server.submit(next.clone()).expect("admitted");
+    let out = handle.wait_timeout(WAIT).expect("reported");
+    let fresh = SolverSession::new().solve(&next).expect("clean solve");
+    assert!(out
+        .status
+        .outcome()
+        .expect("completed")
+        .deterministic_eq(&fresh));
+
+    // A batch naming the bad request fails on it, typed.
+    let batch = vec![next, bad];
+    let (mut server, res) = run_batch_bounded(server, batch);
+    match res.expect_err("the batch holds a mismatched request") {
+        BatchError::Refused { index, id, error } => {
+            assert_eq!((index, id.as_str(), error), (1, "bad", mismatch));
+        }
+        other => panic!("expected a refusal, got {other}"),
+    }
+    server.shutdown();
+}
+
+/// Probe: `CollectAtRoot` on a 4-node path with edge weight `u64::MAX / 4`
+/// panics inside the solver (an unreachable shortest-path target). A
+/// valid request, so it reaches a lane: the panic must end only its own
+/// job, on either lane.
+#[test]
+fn panicking_solve_is_reported_and_the_lane_survives() {
+    let huge = Arc::new(generators::path(4, u64::MAX / 4));
+    let huge_inst = InstanceBuilder::new(&huge)
+        .component(&[NodeId(0), NodeId(3)])
+        .build()
+        .unwrap();
+    let boom = SolveRequest::new("boom", huge, huge_inst, SolverKind::CollectAtRoot, 0);
+    let (g, inst) = small_case();
+    let next = request("next", &g, &inst, 4);
+    let fresh = SolverSession::new().solve(&next).expect("clean solve");
+
+    for threshold in [DEFAULT_LARGE_NODE_THRESHOLD, 1] {
+        let server = StreamingServer::new(ServerConfig {
+            workers: 1,
+            large_node_threshold: threshold,
+            ..Default::default()
+        });
+        let ctx = format!("threshold={threshold}");
+        let bad = server.submit(boom.clone()).expect("admitted");
+        let status = bad.wait_timeout(WAIT).expect("reported").status;
+        assert!(
+            matches!(status, JobStatus::Panicked(_)),
+            "{ctx}: {status:?}"
+        );
+
+        // Same single worker, fresh session: the next job completes.
+        let ok = server.submit(next.clone()).expect("admitted");
+        let out = ok.wait_timeout(WAIT).expect("reported");
+        assert!(
+            out.status
+                .outcome()
+                .expect("completed")
+                .deterministic_eq(&fresh),
+            "{ctx}"
+        );
+
+        // A batch holding the panicking job names it.
+        let batch = vec![next.clone(), boom.clone(), next.clone()];
+        let (mut server, res) = run_batch_bounded(server, batch);
+        match res.expect_err("the batch holds a panicking job") {
+            BatchError::NotCompleted { index, id, status } => {
+                assert_eq!((index, id.as_str()), (1, "boom"), "{ctx}");
+                assert!(matches!(status, JobStatus::Panicked(_)), "{ctx}");
+            }
+            other => panic!("{ctx}: expected NotCompleted, got {other}"),
+        }
+        // Both the explicit shutdown and the drop after it return.
+        server.shutdown();
+    }
+
+    // Dropping a server whose lane saw a panic returns normally too.
+    let server = StreamingServer::new(ServerConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    let bad = server.submit(boom).expect("admitted");
+    assert!(bad.wait_timeout(WAIT).is_some());
+    drop(server);
 }

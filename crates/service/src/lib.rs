@@ -1,5 +1,5 @@
-//! Batched solver service: pooled executor sessions and a deterministic
-//! job queue over the distributed Steiner forest stack.
+//! Pooled solver sessions, the solve-request vocabulary, and incremental
+//! re-solve over the distributed Steiner forest stack.
 //!
 //! The algorithm crates expose one-shot entry points (`solve_*`), and
 //! every such call used to pay full setup: fresh CSR slot arenas for each
@@ -13,9 +13,10 @@
 //!   slot arena out of the pool, so steady-state solves over recurring
 //!   graphs perform **zero** per-solve arena allocation (observable via
 //!   [`SolverSession::pool_stats`]).
-//! * [`SolverService`] — a batched front-end owning one session per
-//!   worker: small jobs are scheduled round-robin across the workers,
-//!   large jobs get the whole pool as sharded-executor threads.
+//! * [`SolveRequest`] / [`SolverKind`] — one job: which solver to run on
+//!   which instance with which seed. The `dsf-server` crate schedules
+//!   requests across per-worker sessions, one at a time as a stream or
+//!   as a whole batch (`StreamingServer::run_batch`).
 //! * The **delta API** ([`SolverSession::install_graph`],
 //!   [`SolverSession::add_demand`], [`SolverSession::remove_demand`],
 //!   [`SolverSession::reweight_edge`]) — incremental re-solve on a warm
@@ -29,20 +30,20 @@
 //!
 //! # Determinism contract
 //!
-//! Batching is **invisible in the results**: every [`JobOutcome`]'s
+//! Pooling is **invisible in the results**: every [`JobOutcome`]'s
 //! deterministic fields (forest, full round ledger, weight, ratio) are
 //! bit-identical to solving the same request alone on a fresh session,
-//! at any worker count. This follows from the executor's thread-count
-//! invariance ([`dsf_congest::run_sharded`]) plus pool transparency
-//! (arenas are cleared before reuse), and is continuously asserted by
-//! `bench_runner --service` and the service conformance tier.
+//! at any executor thread count. This follows from the executor's
+//! thread-count invariance ([`dsf_congest::run_sharded`]) plus pool
+//! transparency (arenas are cleared before reuse), and is continuously
+//! asserted by the `dsf-server` tests and the root conformance tier.
 //!
 //! # Example
 //!
 //! ```
 //! use std::sync::Arc;
 //! use dsf_graph::{generators, NodeId};
-//! use dsf_service::{SolveRequest, SolverKind, SolverService};
+//! use dsf_service::{ServiceReport, SolveRequest, SolverKind, SolverSession};
 //! use dsf_steiner::InstanceBuilder;
 //!
 //! let g = Arc::new(generators::gnp_connected(20, 0.2, 9, 5));
@@ -51,12 +52,13 @@
 //!     .build()
 //!     .unwrap();
 //!
-//! let mut service = SolverService::with_defaults();
 //! let requests: Vec<_> = [SolverKind::Deterministic, SolverKind::Randomized]
 //!     .into_iter()
 //!     .map(|solver| SolveRequest::new(solver.name(), g.clone(), inst.clone(), solver, 7))
 //!     .collect();
-//! let report = service.run_batch(&requests).unwrap();
+//! let mut session = SolverSession::new();
+//! let jobs = requests.iter().map(|r| session.solve(r).unwrap()).collect();
+//! let report = ServiceReport::new(&requests, jobs, 1, 0);
 //! assert!(report.violations.is_empty());
 //! for job in &report.jobs {
 //!     assert!(inst.is_feasible(&g, &job.forest));
@@ -66,11 +68,9 @@
 mod delta;
 mod report;
 mod request;
-mod service;
 mod session;
 
 pub use delta::{DeltaError, DeltaOutcome, DeltaStats, DemandId};
 pub use report::{JobOutcome, ServiceReport};
 pub use request::{SolveRequest, SolverKind};
-pub use service::{ServiceConfig, SolverService};
 pub use session::SolverSession;

@@ -1,19 +1,20 @@
-//! Per-batch reporting: job outcomes, throughput, and the ledger
-//! invariants the conformance oracle also checks.
+//! Per-batch reporting: job outcomes and the ledger invariants the
+//! conformance oracle also checks.
 
-use dsf_congest::RoundLedger;
+use dsf_congest::{CongestConfig, RoundLedger};
 use dsf_steiner::ForestSolution;
+use dsf_workloads::conformance::check_ledger_budget;
 
-use crate::request::SolverKind;
+use crate::request::{SolveRequest, SolverKind};
 
 /// One completed job.
 ///
 /// `forest`, `ledger`, `weight`, and `ratio_milli` are deterministic —
-/// identical no matter how the batch was scheduled (worker count, batch
+/// identical no matter how the job was scheduled (worker count, batch
 /// composition, session reuse); `wall_ns` is machine- and
 /// schedule-dependent, report-only. [`JobOutcome::deterministic_eq`]
-/// compares exactly the deterministic part, which is how the service
-/// bench asserts batched results are bit-identical to one-at-a-time
+/// compares exactly the deterministic part, which is how the tests assert
+/// batched and streamed results are bit-identical to one-at-a-time
 /// solves.
 #[derive(Debug, Clone)]
 pub struct JobOutcome {
@@ -65,7 +66,8 @@ impl JobOutcome {
     }
 }
 
-/// The result of one [`crate::SolverService::run_batch`] call.
+/// The result of one batch of solves (`dsf_server::StreamingServer::run_batch`
+/// builds it).
 #[derive(Debug)]
 pub struct ServiceReport {
     /// Worker threads the batch was scheduled across.
@@ -76,31 +78,42 @@ pub struct ServiceReport {
     pub wall_ns: u64,
     /// CONGEST-ledger invariant violations across the batch (empty on a
     /// healthy run) — the same `B`-bit budget checks the conformance
-    /// oracle applies, so the service path cannot silently launder an
+    /// oracle applies, so the batch path cannot silently launder an
     /// over-budget solve.
     pub violations: Vec<String>,
 }
 
 impl ServiceReport {
-    /// Sum of per-job rounds (deterministic).
-    pub fn total_rounds(&self) -> u64 {
-        self.jobs.iter().map(JobOutcome::rounds).sum()
-    }
-
-    /// Sum of per-job messages (deterministic).
-    pub fn total_messages(&self) -> u64 {
-        self.jobs.iter().map(JobOutcome::messages).sum()
-    }
-
-    /// Batch throughput: `1000 × jobs / seconds` (report-only).
-    pub fn solves_per_sec_milli(&self) -> u64 {
-        if self.jobs.is_empty() {
-            return 0;
+    /// Assembles the report of a finished batch: `jobs[i]` is the outcome
+    /// of `requests[i]`, and every job's ledger is re-checked against the
+    /// `B`-bit budget of its request's graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `jobs` and `requests` differ in length.
+    pub fn new(
+        requests: &[SolveRequest],
+        jobs: Vec<JobOutcome>,
+        workers: usize,
+        wall_ns: u64,
+    ) -> Self {
+        assert_eq!(requests.len(), jobs.len(), "one outcome per request");
+        let violations = requests
+            .iter()
+            .zip(&jobs)
+            .flat_map(|(req, out)| {
+                let bandwidth = CongestConfig::for_graph(&req.graph).bandwidth_bits;
+                check_ledger_budget(&out.ledger, bandwidth)
+                    .into_iter()
+                    .map(move |v| format!("job {} [{}]: {v}", out.id, out.solver.name()))
+            })
+            .collect();
+        ServiceReport {
+            workers,
+            jobs,
+            wall_ns,
+            violations,
         }
-        (self.jobs.len() as u64)
-            .saturating_mul(1_000_000_000_000)
-            .checked_div(self.wall_ns.max(1))
-            .unwrap_or(0)
     }
 }
 
@@ -132,13 +145,30 @@ mod tests {
     }
 
     #[test]
-    fn throughput_is_jobs_over_seconds() {
-        let report = ServiceReport {
-            workers: 1,
-            jobs: vec![outcome(1), outcome(1)],
-            wall_ns: 500_000_000, // 2 jobs in half a second = 4 solves/sec
-            violations: Vec::new(),
-        };
-        assert_eq!(report.solves_per_sec_milli(), 4_000);
+    fn report_flags_over_budget_ledgers() {
+        use dsf_congest::RunMetrics;
+        use std::sync::Arc;
+
+        let g = Arc::new(dsf_graph::generators::path(4, 1));
+        let inst = dsf_steiner::InstanceBuilder::new(&g)
+            .component(&[dsf_graph::NodeId(0), dsf_graph::NodeId(3)])
+            .build()
+            .unwrap();
+        let req = SolveRequest::new("j", g.clone(), inst, SolverKind::Deterministic, 0);
+        let bandwidth = CongestConfig::for_graph(&g).bandwidth_bits as u64;
+        let mut over = outcome(1);
+        over.ledger.record(
+            "stage",
+            &RunMetrics {
+                messages: 1,
+                total_bits: bandwidth + 1,
+                ..RunMetrics::default()
+            },
+        );
+        let clean = ServiceReport::new(std::slice::from_ref(&req), vec![outcome(1)], 1, 0);
+        assert!(clean.violations.is_empty());
+        let flagged = ServiceReport::new(&[req], vec![over], 1, 0);
+        assert_eq!(flagged.violations.len(), 1, "{:?}", flagged.violations);
+        assert!(flagged.violations[0].starts_with("job j [det]"));
     }
 }

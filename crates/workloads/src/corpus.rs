@@ -211,9 +211,9 @@ fn make_entry(family: &'static str, pattern: &'static str, tier: Tier, seed: u64
 /// in the same stable order as [`corpus`], generating (and certifying)
 /// each entry only when the consumer pulls it.
 ///
-/// This is the streaming front door for batch consumers — the solver
-/// service's job queue feeds from it without materializing the whole
-/// corpus, so memory stays bounded by the jobs in flight rather than the
+/// This is the streaming front door for batch consumers such as the
+/// corpus replay through the solve server: entries are generated on
+/// demand, so memory stays bounded by the jobs in flight rather than the
 /// corpus size.
 pub fn stream(tier: Tier) -> impl Iterator<Item = CorpusEntry> {
     FAMILIES.into_iter().flat_map(move |family| {

@@ -1,7 +1,8 @@
 //! Quickstart for the streaming server: submit a live stream of Steiner
 //! forest jobs with priorities and deadlines, watch results arrive as
 //! they finish, and cancel a job in flight — all on a bounded queue that
-//! backpressures instead of growing without limit.
+//! backpressures instead of growing without limit. Then run one whole
+//! batch through the same server and read its per-job report.
 //!
 //! ```text
 //! cargo run --release --example quickstart_server
@@ -87,5 +88,23 @@ fn main() {
         }
     }
     assert!(urgent.is_finished());
+
+    // A whole batch: every solver kind once, outcomes in request order,
+    // each job's ledger re-checked against the B-bit budget.
+    let batch: Vec<_> = SolverKind::ALL
+        .into_iter()
+        .map(|solver| SolveRequest::new(solver.name(), g.clone(), inst.clone(), solver, 7))
+        .collect();
+    let report = server.run_batch(&batch).expect("every batch job completes");
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
+    for job in &report.jobs {
+        println!(
+            "batch {:<10} weight {:>5}  rounds {:>4}  messages {:>6}",
+            job.id,
+            job.weight,
+            job.rounds(),
+            job.messages(),
+        );
+    }
     server.shutdown();
 }

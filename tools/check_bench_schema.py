@@ -81,22 +81,6 @@ TIERS = {
         },
         {},
     ),
-    "service": (
-        "dsf-bench-service/v1",
-        {
-            "name": str,
-            "jobs": int,
-            "batch": int,
-            "workers": int,
-            "rounds": int,
-            "messages": int,
-            "arena_reuses": int,
-            "arena_builds": int,
-            "wall_ns": int,
-            "solves_per_sec_milli": int,
-        },
-        {},
-    ),
     "server": (
         "dsf-bench-server/v1",
         {
@@ -141,7 +125,6 @@ STEMS = {
     "BENCH_executor": "executor",
     "BENCH_scale": "executor",
     "BENCH_conformance": "conformance",
-    "BENCH_service": "service",
     "BENCH_server": "server",
     "BENCH_churn": "churn",
 }
