@@ -7,6 +7,30 @@
 //! id. This makes every routine that consumes shortest paths (centralized
 //! moat growing, the distributed emulation, the virtual-tree embedding)
 //! reproducible and mutually consistent.
+//!
+//! # Targeted runs
+//!
+//! All entry points share one relaxation loop. [`multi_source`] and
+//! [`multi_source_with`] settle every reachable node; [`multi_source_to`]
+//! stops as soon as every node of a target set is settled, which is what
+//! callers that read a few distances or paths out of a large graph want.
+//! Nodes leave the heap in non-decreasing `(dist, hops)` order, and every
+//! edge strictly increases that key (weights are non-negative and each
+//! edge adds a hop), so when a node is settled every node with a smaller
+//! key has already been settled and has relaxed its edges. In a targeted
+//! run the following entries are therefore final — equal, bit for bit, to
+//! those of the settle-everything run:
+//!
+//! * `dist`, `hops` and `parent` of every target (an unreachable target
+//!   reads [`INF`], since the run then settles everything reachable);
+//! * the same entries of every node on a target's tie-broken path
+//!   (each is settled before the target), so `path_edges` and
+//!   `path_nodes` of a target are final as well;
+//! * more generally, the entries of every node whose key is below the
+//!   last target's.
+//!
+//! Any other node may hold a tentative upper bound or [`INF`]; read it
+//! only from a settle-everything run.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -90,6 +114,52 @@ pub fn multi_source_with<W>(g: &WeightedGraph, sources: &[NodeId], weight: W) ->
 where
     W: Fn(EdgeId) -> Weight,
 {
+    search(g, sources, None, weight)
+}
+
+/// [`multi_source_with`] that stops once every node of `targets` is
+/// settled.
+///
+/// The entries of the targets and of every node on their tie-broken
+/// paths equal those of the settle-everything run (see the module docs);
+/// other nodes may hold tentative distances. An empty target set settles
+/// nothing beyond the sources. Duplicate targets, and targets that are
+/// also sources, are fine.
+///
+/// # Example
+///
+/// ```
+/// use dsf_graph::{dijkstra, generators, NodeId, INF};
+///
+/// let g = generators::path(50, 1);
+/// let sp = dijkstra::multi_source_to(&g, &[NodeId(0)], &[NodeId(2)], |e| g.weight(e));
+/// assert_eq!(sp.dist[2], 2);
+/// assert_eq!(sp.path_nodes(NodeId(2)), vec![NodeId(0), NodeId(1), NodeId(2)]);
+/// assert_eq!(sp.dist[49], INF); // never reached: the run stopped early
+/// ```
+pub fn multi_source_to<W>(
+    g: &WeightedGraph,
+    sources: &[NodeId],
+    targets: &[NodeId],
+    weight: W,
+) -> ShortestPaths
+where
+    W: Fn(EdgeId) -> Weight,
+{
+    search(g, sources, Some(targets), weight)
+}
+
+/// The one relaxation loop: settles every reachable node (`targets =
+/// None`) or stops once every target is settled.
+fn search<W>(
+    g: &WeightedGraph,
+    sources: &[NodeId],
+    targets: Option<&[NodeId]>,
+    weight: W,
+) -> ShortestPaths
+where
+    W: Fn(EdgeId) -> Weight,
+{
     let n = g.n();
     let mut dist = vec![INF; n];
     let mut hops = vec![u32::MAX; n];
@@ -100,10 +170,33 @@ where
         hops[s.idx()] = 0;
         heap.push(Reverse((0, 0, s.0)));
     }
-    while let Some(Reverse((d, h, v))) = heap.pop() {
+    // Targets not yet settled: a per-node mark (cleared when the node
+    // settles, so a node popped twice at its final key counts once) and
+    // their number. Settling everything never runs the count down.
+    let mut unsettled = Vec::new();
+    let mut left = usize::MAX;
+    if let Some(targets) = targets {
+        unsettled = vec![false; n];
+        left = 0;
+        for t in targets {
+            if !std::mem::replace(&mut unsettled[t.idx()], true) {
+                left += 1;
+            }
+        }
+    }
+    while left > 0 {
+        let Some(Reverse((d, h, v))) = heap.pop() else {
+            break;
+        };
         let v = NodeId(v);
         if (d, h) != (dist[v.idx()], hops[v.idx()]) {
             continue;
+        }
+        if targets.is_some() && std::mem::take(&mut unsettled[v.idx()]) {
+            left -= 1;
+            if left == 0 {
+                break;
+            }
         }
         for &(u, e) in g.neighbors(v) {
             // Checked instead of the old unchecked add, which could wrap
@@ -279,6 +372,32 @@ mod tests {
         assert_eq!(a.dist, b.dist);
         assert_eq!(a.hops, b.hops);
         assert_eq!(a.parent, b.parent);
+    }
+
+    #[test]
+    fn targeted_run_stops_once_its_targets_are_settled() {
+        let g = crate::generators::path(50, 1);
+        let sp = multi_source_to(&g, &[NodeId(0)], &[NodeId(2)], |e| g.weight(e));
+        assert_eq!(sp.dist[2], 2);
+        assert_eq!(sp.hops[2], 2);
+        assert_eq!(sp.path_edges(NodeId(2)), vec![EdgeId(0), EdgeId(1)]);
+        // Node 3 got a tentative entry from node 2's neighbor; nothing
+        // beyond it was reached.
+        assert_eq!(sp.dist[49], INF);
+        assert_eq!(sp.parent[49], None);
+        // No targets: only the sources are settled.
+        let none = multi_source_to(&g, &[NodeId(0)], &[], |e| g.weight(e));
+        assert_eq!(none.dist[0], 0);
+        assert_eq!(none.dist[1], INF);
+        // Repeated targets, and a target that is also a source, count once.
+        let twice = multi_source_to(
+            &g,
+            &[NodeId(0), NodeId(0)],
+            &[NodeId(0), NodeId(5), NodeId(5)],
+            |e| g.weight(e),
+        );
+        assert_eq!(twice.dist[5], 5);
+        assert_eq!(twice.path_edges(NodeId(5)).len(), 5);
     }
 
     #[test]

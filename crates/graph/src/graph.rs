@@ -1,8 +1,9 @@
 //! The core immutable weighted-graph type and its builder.
 
 use std::fmt;
+use std::sync::Arc;
 
-use crate::Weight;
+use crate::{Weight, INF};
 
 /// Identifier of a node; nodes are numbered `0..n`.
 ///
@@ -95,6 +96,10 @@ pub enum GraphError {
     Disconnected,
     /// The graph has no nodes.
     Empty,
+    /// The total edge weight would reach [`INF`]. Below that bound no
+    /// path sum can reach Dijkstra's `INF` clamp, so "unreachable" keeps
+    /// meaning unreachable.
+    TotalWeightOverflow,
 }
 
 impl fmt::Display for GraphError {
@@ -108,6 +113,9 @@ impl fmt::Display for GraphError {
             GraphError::ZeroWeight(u, v) => write!(f, "zero weight on edge {{{u}, {v}}}"),
             GraphError::Disconnected => write!(f, "graph is not connected"),
             GraphError::Empty => write!(f, "graph has no nodes"),
+            GraphError::TotalWeightOverflow => {
+                write!(f, "total edge weight reaches INF (u64::MAX / 4)")
+            }
         }
     }
 }
@@ -220,16 +228,25 @@ impl GraphBuilder {
 /// `(neighbor, edge id)` array sliced by a per-node offset table — instead
 /// of one `Vec` per node. At the 10M-node scale tier this saves the 24
 /// bytes/node of inner-`Vec` headers plus their reallocation slack, and
-/// keeps every neighbor scan on a single contiguous allocation.
+/// keeps every neighbor scan on a single contiguous allocation. Weights
+/// live only in the edge list, so the adjacency sits behind one [`Arc`]
+/// that clones and re-priced copies ([`WeightedGraph::with_weight`])
+/// share.
 #[derive(Debug, Clone)]
 pub struct WeightedGraph {
     n: usize,
     edges: Vec<Edge>,
-    /// CSR offsets: node `v`'s adjacency is `adj[adj_off[v]..adj_off[v+1]]`.
-    adj_off: Vec<u32>,
+    adj: Arc<Adjacency>,
+}
+
+/// The CSR adjacency of a [`WeightedGraph`].
+#[derive(Debug)]
+struct Adjacency {
+    /// Offsets: node `v`'s adjacency is `slots[off[v]..off[v+1]]`.
+    off: Vec<u32>,
     /// Flat `(neighbor, edge id)` entries, each node's slice sorted by
     /// neighbor id.
-    adj: Vec<(NodeId, EdgeId)>,
+    slots: Vec<(NodeId, EdgeId)>,
 }
 
 impl WeightedGraph {
@@ -261,8 +278,10 @@ impl WeightedGraph {
         WeightedGraph {
             n,
             edges,
-            adj_off,
-            adj,
+            adj: Arc::new(Adjacency {
+                off: adj_off,
+                slots: adj,
+            }),
         }
     }
 
@@ -319,6 +338,42 @@ impl WeightedGraph {
         Ok(g)
     }
 
+    /// A copy of this graph with edge `e` re-priced to `w`.
+    ///
+    /// Edge ids, endpoints and every other weight are unchanged, so the
+    /// copy shares this graph's adjacency (one [`Arc`]) and only the edge
+    /// list is copied: no re-sort, no connectivity check. It fingerprints
+    /// exactly like a [`WeightedGraph::from_edges`] rebuild of the patched
+    /// edge list.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::ZeroWeight`] for `w == 0`, and
+    /// [`GraphError::TotalWeightOverflow`] when the copy's total edge
+    /// weight would reach [`INF`]. Below that bound every path sum stays
+    /// below Dijkstra's clamp.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `e` is out of range.
+    pub fn with_weight(&self, e: EdgeId, w: Weight) -> Result<WeightedGraph, GraphError> {
+        let ed = *self.edge(e);
+        if w == 0 {
+            return Err(GraphError::ZeroWeight(ed.u, ed.v));
+        }
+        let total: u128 = self.edges.iter().map(|x| u128::from(x.w)).sum();
+        if total - u128::from(ed.w) + u128::from(w) >= u128::from(INF) {
+            return Err(GraphError::TotalWeightOverflow);
+        }
+        let mut edges = self.edges.clone();
+        edges[e.idx()].w = w;
+        Ok(WeightedGraph {
+            n: self.n,
+            edges,
+            adj: Arc::clone(&self.adj),
+        })
+    }
+
     /// Number of nodes `n`.
     #[inline]
     pub fn n(&self) -> usize {
@@ -352,13 +407,14 @@ impl WeightedGraph {
     /// Neighbors of `v` as `(neighbor, edge id)` pairs, sorted by neighbor id.
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> &[(NodeId, EdgeId)] {
-        &self.adj[self.adj_off[v.idx()] as usize..self.adj_off[v.idx() + 1] as usize]
+        let off = &self.adj.off;
+        &self.adj.slots[off[v.idx()] as usize..off[v.idx() + 1] as usize]
     }
 
     /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
-        (self.adj_off[v.idx() + 1] - self.adj_off[v.idx()]) as usize
+        (self.adj.off[v.idx() + 1] - self.adj.off[v.idx()]) as usize
     }
 
     /// Iterator over all node ids `0..n`.
@@ -600,6 +656,47 @@ mod tests {
         b.add_edge(NodeId(1), NodeId(2), 2).unwrap();
         let path = b.build().unwrap();
         assert_ne!(g.fingerprint(), path.fingerprint());
+    }
+
+    #[test]
+    fn with_weight_copies_only_the_edge_list() {
+        let g = crate::generators::grid(4, 5, 9, 3);
+        let e = EdgeId(7);
+        let w = g.weight(e) + 5;
+        let h = g.with_weight(e, w).unwrap();
+        assert_eq!(h.weight(e), w);
+        // Fingerprints exactly like a from-scratch rebuild of the patched
+        // edge list.
+        let mut edges = g.edges().to_vec();
+        edges[e.idx()].w = w;
+        let rebuilt = WeightedGraph::from_edges(g.n(), edges).unwrap();
+        assert_eq!(h.fingerprint(), rebuilt.fingerprint());
+        assert_ne!(h.fingerprint(), g.fingerprint());
+        // Every neighbor slice is kept, in the very same allocation.
+        for v in g.nodes() {
+            assert_eq!(h.neighbors(v), rebuilt.neighbors(v));
+            assert_eq!(h.neighbors(v).as_ptr(), g.neighbors(v).as_ptr());
+        }
+        assert_eq!(
+            g.with_weight(e, 0).unwrap_err(),
+            GraphError::ZeroWeight(g.edge(e).u, g.edge(e).v)
+        );
+    }
+
+    #[test]
+    fn with_weight_keeps_the_total_weight_below_inf() {
+        let g = triangle(); // weights 1, 2, 3
+        let others = 1 + 3;
+        assert_eq!(
+            g.with_weight(EdgeId(1), u64::MAX).unwrap_err(),
+            GraphError::TotalWeightOverflow
+        );
+        assert_eq!(
+            g.with_weight(EdgeId(1), INF - others).unwrap_err(),
+            GraphError::TotalWeightOverflow
+        );
+        let h = g.with_weight(EdgeId(1), INF - others - 1).unwrap();
+        assert_eq!(h.total_weight(&[EdgeId(0), EdgeId(1), EdgeId(2)]), INF - 1);
     }
 
     #[test]

@@ -57,6 +57,47 @@ proptest! {
     }
 
     #[test]
+    fn targeted_dijkstra_matches_the_settle_everything_run(
+        seed in 0u64..1000,
+        n in 2usize..40,
+        p in 0.05f64..0.5,
+    ) {
+        // The callers' weight overrides: a contraction mask (selected
+        // edges at 0) and one edge priced out at INF, which can cut the
+        // graph and leave targets unreachable.
+        let g = generators::gnp_connected(n, p, 12, seed);
+        let mut h = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move |bound: usize| {
+            h ^= h << 13;
+            h ^= h >> 7;
+            h ^= h << 17;
+            (h % bound as u64) as usize
+        };
+        let free: Vec<bool> = (0..g.m()).map(|_| next(3) == 0).collect();
+        let cut = EdgeId(next(g.m()) as u32);
+        let weight = |e: EdgeId| {
+            if e == cut {
+                INF
+            } else if free[e.idx()] {
+                0
+            } else {
+                g.weight(e)
+            }
+        };
+        let sources: Vec<NodeId> = (0..1 + next(3)).map(|_| NodeId(next(n) as u32)).collect();
+        let targets: Vec<NodeId> = (0..next(6)).map(|_| NodeId(next(n) as u32)).collect();
+        let full = dijkstra::multi_source_with(&g, &sources, weight);
+        let part = dijkstra::multi_source_to(&g, &sources, &targets, weight);
+        for &t in &targets {
+            prop_assert_eq!(part.dist[t.idx()], full.dist[t.idx()]);
+            prop_assert_eq!(part.hops[t.idx()], full.hops[t.idx()]);
+            if full.dist[t.idx()] < INF {
+                prop_assert_eq!(part.path_edges(t), full.path_edges(t));
+            }
+        }
+    }
+
+    #[test]
     fn metric_axioms(seed in 0u64..300, n in 4usize..14) {
         let g = generators::gnp_connected(n, 0.4, 9, seed);
         let ap = dijkstra::all_pairs(&g);

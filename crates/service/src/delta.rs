@@ -15,9 +15,13 @@
 //! * [`SolverSession::remove_demand`] rolls the departed component back
 //!   via the union-find pruning pass
 //!   ([`ForestSolution::prune_to_minimal`] against the shrunk instance);
-//! * [`SolverSession::reweight_edge`] re-prices one edge (the graph is
-//!   rebuilt with the patched weight; edge ids are stable) and lets the
-//!   repair pass react.
+//! * [`SolverSession::reweight_edge`] re-prices one edge and lets the
+//!   repair pass react. The graph is not rebuilt: the re-priced graph
+//!   ([`WeightedGraph::with_weight`]) copies only the edge list and
+//!   shares the adjacency, and edge ids are stable. A re-price that would
+//!   bring the total edge weight to [`dsf_graph::INF`] is refused
+//!   ([`DeltaError::WeightOverflow`]), so no path sum can reach
+//!   Dijkstra's clamp.
 //!
 //! Every repaired forest is then *finished* by [`repair::optimize`],
 //! the scoped fixpoint over swap, replace, whole-component-reroute and
@@ -29,6 +33,14 @@
 //! --churn`) holds the result to the from-scratch quality envelope:
 //! feasible, within the certified ratio bound, and never heavier than a
 //! fresh `greedy + local_search` solve of the post-delta instance.
+//! Deltas that may have entangled trees or shifted the metric race such a
+//! from-scratch candidate and keep the lighter forest
+//! ([`DeltaStats::races`], [`DeltaStats::race_wins`]).
+//!
+//! Every Dijkstra on this path reads a few nodes of a large graph, so it
+//! stops once those nodes are settled
+//! ([`dsf_graph::dijkstra::multi_source_to`]); repairs pay for what the
+//! delta touched, not for the whole graph.
 //!
 //! Installing a graph whose fingerprint differs from the cached one
 //! drops the cached state entirely — repairs never run against the wrong
@@ -71,6 +83,10 @@ pub enum DeltaError {
     EdgeOutOfRange(EdgeId),
     /// Reweight to zero (the model requires weights in `N`, Section 2).
     ZeroWeight(EdgeId),
+    /// The re-price would bring the graph's total edge weight to
+    /// [`dsf_graph::INF`] or above, where path sums could reach
+    /// Dijkstra's clamp.
+    WeightOverflow(EdgeId, Weight),
 }
 
 impl fmt::Display for DeltaError {
@@ -81,6 +97,10 @@ impl fmt::Display for DeltaError {
             DeltaError::Instance(e) => write!(f, "invalid demand: {e}"),
             DeltaError::EdgeOutOfRange(e) => write!(f, "edge {e} out of range"),
             DeltaError::ZeroWeight(e) => write!(f, "zero weight for edge {e}"),
+            DeltaError::WeightOverflow(e, w) => write!(
+                f,
+                "re-pricing edge {e} to {w} brings the total edge weight to INF or above"
+            ),
         }
     }
 }
@@ -122,13 +142,19 @@ pub struct DeltaStats {
     pub deltas: u64,
     /// Total accepted repair moves across all deltas.
     pub moves: u64,
+    /// From-scratch `greedy + local_search` candidates computed to race a
+    /// repaired forest.
+    pub races: u64,
+    /// Race candidates that were lighter than the repaired forest and
+    /// were adopted.
+    pub race_wins: u64,
 }
 
 /// The cached solve a session repairs incrementally.
 #[derive(Debug)]
 pub(crate) struct IncrementalState {
+    /// The cache key is this graph's fingerprint.
     graph: Arc<WeightedGraph>,
-    fingerprint: u64,
     /// Active demands in arrival order, keyed by stable handle.
     demands: Vec<(DemandId, Vec<NodeId>)>,
     next_id: u64,
@@ -167,6 +193,28 @@ fn finish(
     repair::optimize(g, inst, &start, Some(scope))
 }
 
+/// Races a from-scratch `greedy + local_search` candidate against the
+/// repaired `forest`: a lighter candidate is polished by an unscoped
+/// [`repair::optimize`] (which only shaves further) and adopted. Returns
+/// the winner and `moves` plus the polish's moves.
+fn race(
+    g: &WeightedGraph,
+    inst: &Instance,
+    forest: ForestSolution,
+    moves: u64,
+    stats: &mut DeltaStats,
+) -> (ForestSolution, u64) {
+    stats.races += 1;
+    let scratch = local_search::improve(g, inst, &greedy::solve_greedy(g, inst));
+    if scratch.weight(g) < forest.weight(g) {
+        stats.race_wins += 1;
+        let (polished, extra) = repair::optimize(g, inst, &scratch, None);
+        (polished, moves + extra)
+    } else {
+        (forest, moves)
+    }
+}
+
 impl SolverSession {
     /// Installs the graph the incremental state lives on.
     ///
@@ -198,10 +246,9 @@ impl SolverSession {
     /// assert_eq!(session.cached_forest().unwrap(), &out.forest);
     /// ```
     pub fn install_graph(&mut self, graph: Arc<WeightedGraph>) -> bool {
-        let fingerprint = graph.fingerprint();
         self.delta_stats.installs += 1;
         if let Some(state) = &self.incremental {
-            if state.fingerprint == fingerprint {
+            if state.graph.fingerprint() == graph.fingerprint() {
                 self.delta_stats.cache_hits += 1;
                 return false;
             }
@@ -210,7 +257,6 @@ impl SolverSession {
         let instance = build_instance(&graph, &[]).expect("empty instance is valid");
         self.incremental = Some(IncrementalState {
             graph,
-            fingerprint,
             demands: Vec::new(),
             next_id: 0,
             instance,
@@ -276,20 +322,10 @@ impl SolverSession {
             .demands
             .iter()
             .any(|(_, terms)| terms.iter().any(|t| Some(tree_of[t.idx()]) == new_tree));
+        let stats = &mut self.delta_stats;
         if entangled {
             let (global, extra) = repair::optimize(&state.graph, &instance, &forest, None);
-            forest = global;
-            moves += extra;
-            let scratch = local_search::improve(
-                &state.graph,
-                &instance,
-                &greedy::solve_greedy(&state.graph, &instance),
-            );
-            if scratch.weight(&state.graph) < forest.weight(&state.graph) {
-                let (polished, extra) = repair::optimize(&state.graph, &instance, &scratch, None);
-                forest = polished;
-                moves += extra;
-            }
+            (forest, moves) = race(&state.graph, &instance, global, moves + extra, stats);
         }
         // On a near-cold session there is little cached structure to
         // ride, so attaching onto it can lock in a worse topology than a
@@ -298,24 +334,15 @@ impl SolverSession {
         // small; once enough components are cached the attach rides real
         // structure and the incremental path wins on its own.
         if !entangled && instance.k() <= SMALL_INSTANCE_RACE_K {
-            let scratch = local_search::improve(
-                &state.graph,
-                &instance,
-                &greedy::solve_greedy(&state.graph, &instance),
-            );
-            if scratch.weight(&state.graph) < forest.weight(&state.graph) {
-                let (polished, extra) = repair::optimize(&state.graph, &instance, &scratch, None);
-                forest = polished;
-                moves += extra;
-            }
+            (forest, moves) = race(&state.graph, &instance, forest, moves, stats);
         }
         state.next_id += 1;
         state.demands = demands;
         state.instance = instance;
         let weight = forest.weight(&state.graph);
         state.forest = forest.clone();
-        self.delta_stats.deltas += 1;
-        self.delta_stats.moves += moves;
+        stats.deltas += 1;
+        stats.moves += moves;
         Ok((
             id,
             DeltaOutcome {
@@ -390,23 +417,15 @@ impl SolverSession {
         // further) and adopt it. A disentangled departure takes its
         // whole tree with it and disturbs nobody, so the race is
         // skipped and the removal stays cheap.
+        let stats = &mut self.delta_stats;
         if entangled {
-            let scratch = local_search::improve(
-                &state.graph,
-                &instance,
-                &greedy::solve_greedy(&state.graph, &instance),
-            );
-            if scratch.weight(&state.graph) < forest.weight(&state.graph) {
-                let (polished, extra) = repair::optimize(&state.graph, &instance, &scratch, None);
-                forest = polished;
-                moves += extra;
-            }
+            (forest, moves) = race(&state.graph, &instance, forest, moves, stats);
         }
         state.instance = instance;
         let weight = forest.weight(&state.graph);
         state.forest = forest.clone();
-        self.delta_stats.deltas += 1;
-        self.delta_stats.moves += moves;
+        stats.deltas += 1;
+        stats.moves += moves;
         Ok(DeltaOutcome {
             forest,
             weight,
@@ -416,11 +435,13 @@ impl SolverSession {
     }
 
     /// Re-prices one edge and repairs the cached forest against the new
-    /// metric. The session's graph is rebuilt with the patched weight
-    /// (edge ids are stable, so the cached forest stays valid) and the
-    /// cache key follows the new fingerprint; the finishing pass then
-    /// swaps away from an edge that got expensive or routes through one
-    /// that got cheap.
+    /// metric. The session's graph is replaced by a re-priced copy
+    /// ([`WeightedGraph::with_weight`]): only the edge list is copied, the
+    /// adjacency is shared and nothing is rebuilt or hashed. Edge ids are
+    /// stable, so the cached forest stays valid, and the cache key
+    /// ([`SolverSession::cached_fingerprint`]) follows the new weights;
+    /// the finishing pass then swaps away from an edge that got expensive
+    /// or routes through one that got cheap.
     ///
     /// A reweight to the current weight is a no-op (no repair runs),
     /// and raising the price of an edge the forest does not use skips
@@ -431,7 +452,10 @@ impl SolverSession {
     ///
     /// [`DeltaError::NoGraph`] before [`SolverSession::install_graph`];
     /// [`DeltaError::EdgeOutOfRange`] / [`DeltaError::ZeroWeight`] for an
-    /// invalid target.
+    /// invalid target; [`DeltaError::WeightOverflow`] when the graph's
+    /// total edge weight would reach [`dsf_graph::INF`] (weights up to
+    /// that bound keep every path sum below Dijkstra's clamp). The
+    /// session's graph, forest and demands are untouched on error.
     pub fn reweight_edge(&mut self, e: EdgeId, w: Weight) -> Result<DeltaOutcome, DeltaError> {
         let t0 = Instant::now();
         let state = self.incremental.as_mut().ok_or(DeltaError::NoGraph)?;
@@ -453,12 +477,15 @@ impl SolverSession {
         }
         let old_w = state.graph.weight(e);
         let went_up = w > old_w;
-        let mut edges = state.graph.edges().to_vec();
-        edges[e.idx()].w = w;
+        // The range and zero checks above leave the weight bound as the
+        // only way the re-priced copy can be refused.
         let graph = Arc::new(
-            WeightedGraph::from_edges(state.graph.n(), edges)
-                .expect("reweighting a valid graph stays valid"),
+            state
+                .graph
+                .with_weight(e, w)
+                .map_err(|_| DeltaError::WeightOverflow(e, w))?,
         );
+        let stats = &mut self.delta_stats;
         let (forest, moves) = if went_up && !state.forest.contains(e) {
             // A chord that only got more expensive cannot enable any
             // move: every candidate's cost weakly increased while the
@@ -480,7 +507,7 @@ impl SolverSession {
             // contraction only shrinks distances, so the argument
             // survives the contracted metric the solvers search.
             let ed = &graph.edges()[e.idx()];
-            let alt = dijkstra::multi_source_with(&graph, &[ed.u], |x| {
+            let alt = dijkstra::multi_source_to(&graph, &[ed.u], &[ed.v], |x| {
                 if x == e {
                     INF
                 } else {
@@ -499,22 +526,13 @@ impl SolverSession {
                 // [`SolverSession::remove_demand`] does. An edge that
                 // was already redundant re-shapes nothing; the scoped
                 // finish alone sheds it.
-                let (mut forest, mut moves) =
+                let (forest, moves) =
                     finish(&graph, &state.instance, state.forest.clone(), &[ed.u, ed.v]);
                 if old_w < alt {
-                    let scratch = local_search::improve(
-                        &graph,
-                        &state.instance,
-                        &greedy::solve_greedy(&graph, &state.instance),
-                    );
-                    if scratch.weight(&graph) < forest.weight(&graph) {
-                        let (polished, extra) =
-                            repair::optimize(&graph, &state.instance, &scratch, None);
-                        forest = polished;
-                        moves += extra;
-                    }
+                    race(&graph, &state.instance, forest, moves, stats)
+                } else {
+                    (forest, moves)
                 }
-                (forest, moves)
             } else if w < alt {
                 // A chord dropping below every alternative improves
                 // real distances, so it can pay off in trees far from
@@ -523,20 +541,9 @@ impl SolverSession {
                 // and — because the metric genuinely changed — race
                 // the from-scratch candidate, whose interleaved greedy
                 // merges can reach topologies no repair move does.
-                let (mut forest, mut moves) =
+                let (forest, moves) =
                     repair::optimize(&graph, &state.instance, &state.forest, None);
-                let scratch = local_search::improve(
-                    &graph,
-                    &state.instance,
-                    &greedy::solve_greedy(&graph, &state.instance),
-                );
-                if scratch.weight(&graph) < forest.weight(&graph) {
-                    let (polished, extra) =
-                        repair::optimize(&graph, &state.instance, &scratch, None);
-                    forest = polished;
-                    moves += extra;
-                }
-                (forest, moves)
+                race(&graph, &state.instance, forest, moves, stats)
             } else {
                 // A redundant cheaper chord leaves the metric
                 // unchanged; the only possibly-profitable new move is
@@ -550,12 +557,11 @@ impl SolverSession {
                 }
             }
         };
-        state.fingerprint = graph.fingerprint();
         let weight = forest.weight(&graph);
         state.graph = graph;
         state.forest = forest.clone();
-        self.delta_stats.deltas += 1;
-        self.delta_stats.moves += moves;
+        stats.deltas += 1;
+        stats.moves += moves;
         Ok(DeltaOutcome {
             forest,
             weight,
@@ -581,9 +587,10 @@ impl SolverSession {
         self.incremental.as_ref().map(|s| &s.graph)
     }
 
-    /// The fingerprint the solution cache is keyed by.
+    /// The fingerprint the solution cache is keyed by: that of
+    /// [`SolverSession::cached_graph`], computed on each call.
     pub fn cached_fingerprint(&self) -> Option<u64> {
-        self.incremental.as_ref().map(|s| s.fingerprint)
+        self.incremental.as_ref().map(|s| s.graph.fingerprint())
     }
 
     /// Handles of the active demands, in arrival order.
@@ -708,6 +715,67 @@ mod tests {
         assert_eq!(out.forest, before.forest);
         assert_eq!(out.moves, 0);
         assert!(Arc::ptr_eq(s.cached_graph().unwrap(), &g));
+    }
+
+    #[test]
+    fn reweight_refuses_a_total_weight_at_inf_and_leaves_state_untouched() {
+        let g = Arc::new(generators::grid(3, 3, 5, 1));
+        let mut s = session_on(&g);
+        let (_, before) = s.add_demand(&[NodeId(0), NodeId(8)]).unwrap();
+        let e = before.forest.edges()[0];
+        let others: Weight = g.edges().iter().map(|x| x.w).sum::<Weight>() - g.weight(e);
+        for w in [u64::MAX, INF - others] {
+            assert_eq!(
+                s.reweight_edge(e, w).unwrap_err(),
+                DeltaError::WeightOverflow(e, w)
+            );
+            assert!(Arc::ptr_eq(s.cached_graph().unwrap(), &g));
+            assert_eq!(s.cached_forest().unwrap(), &before.forest);
+            assert_eq!(s.active_demands().len(), 1);
+            assert_eq!(s.delta_stats().deltas, 1);
+        }
+        // Just below the bound the re-price goes through, and the repair
+        // still returns a feasible forest at its true weight.
+        let out = s.reweight_edge(e, INF - others - 1).unwrap();
+        assert!(s
+            .cached_instance()
+            .unwrap()
+            .is_feasible(s.cached_graph().unwrap(), &out.forest));
+        assert_eq!(out.weight, out.forest.weight(s.cached_graph().unwrap()));
+        assert!(out.weight < INF);
+    }
+
+    #[test]
+    fn races_count_the_scratch_candidates() {
+        let g = Arc::new(generators::grid(3, 3, 5, 1));
+        let mut s = session_on(&g);
+        // k = 1 is at most SMALL_INSTANCE_RACE_K: the first add races. A
+        // single pair's attach is already a shortest path, which no
+        // scratch candidate beats, so the race is lost.
+        let (_, out) = s.add_demand(&[NodeId(0), NodeId(8)]).unwrap();
+        assert_eq!(s.delta_stats().races, 1);
+        assert_eq!(s.delta_stats().race_wins, 0);
+        let e = out.forest.edges()[0];
+        s.reweight_edge(e, g.weight(e)).unwrap();
+        let chord = (0..g.m() as u32)
+            .map(EdgeId)
+            .find(|&x| !out.forest.contains(x))
+            .unwrap();
+        s.reweight_edge(chord, g.weight(chord) + 1).unwrap();
+        let stats = s.delta_stats();
+        assert_eq!((stats.deltas, stats.races), (3, 1));
+        // On this graph the scratch candidate beats the third arrival's
+        // repair: that race counts as a win.
+        let g = Arc::new(generators::gnp_connected(10, 0.35, 9, 51));
+        let mut s = session_on(&g);
+        for (a, b) in [(5, 2), (1, 8)] {
+            s.add_demand(&[NodeId(a), NodeId(b)]).unwrap();
+        }
+        let before = s.delta_stats();
+        s.add_demand(&[NodeId(4), NodeId(0)]).unwrap();
+        let after = s.delta_stats();
+        assert_eq!(after.races, before.races + 1);
+        assert_eq!(after.race_wins, before.race_wins + 1);
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub fn solve_greedy(g: &WeightedGraph, inst: &Instance) -> ForestSolution {
             break; // every input component is connected
         };
         // Realize the connection along the contracted shortest path.
-        let sp = dijkstra::multi_source_with(g, &[best.source], |e| {
+        let sp = dijkstra::multi_source_to(g, &[best.source], &[best.target], |e| {
             if selected[e.idx()] {
                 0
             } else {
@@ -124,6 +124,9 @@ fn unsatisfied(inst: &Instance, uf: &mut UnionFind) -> Vec<usize> {
 /// One contracted Dijkstra per active tree: with selected edges at weight
 /// 0, every node of a tree sits at the same distance from any other tree,
 /// so the smallest-id terminal of each tree stands in for the whole tree.
+/// Each run stops once it has settled the later trees that share an open
+/// component with its source (the only distances it reads), and a tree
+/// that shares none with any later tree runs no search at all.
 fn best_candidate(
     g: &WeightedGraph,
     inst: &Instance,
@@ -157,7 +160,16 @@ fn best_candidate(
 
     let mut best: Option<Candidate> = None;
     for (i, &(_, source, ref comps)) in trees.iter().enumerate() {
-        let sp = dijkstra::multi_source_with(g, &[source], |e| {
+        let shares = |other: &Vec<usize>| comps.iter().filter(|c| other.contains(c)).count() as u64;
+        let targets: Vec<NodeId> = trees[i + 1..]
+            .iter()
+            .filter(|(_, _, other)| shares(other) > 0)
+            .map(|&(_, target, _)| target)
+            .collect();
+        if targets.is_empty() {
+            continue;
+        }
+        let sp = dijkstra::multi_source_to(g, &[source], &targets, |e| {
             if selected[e.idx()] {
                 0
             } else {
@@ -165,7 +177,7 @@ fn best_candidate(
             }
         });
         for &(_, target, ref other) in &trees[i + 1..] {
-            let units = comps.iter().filter(|c| other.contains(c)).count() as u64;
+            let units = shares(other);
             if units == 0 || sp.dist[target.idx()] >= INF {
                 continue;
             }

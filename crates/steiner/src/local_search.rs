@@ -190,18 +190,13 @@ fn reconnect(
     u: NodeId,
     v: NodeId,
 ) -> Option<Vec<EdgeId>> {
-    let sp =
-        dijkstra::multi_source_with(
-            g,
-            &[u],
-            |e| {
-                if dropped.contains(e) {
-                    0
-                } else {
-                    g.weight(e)
-                }
-            },
-        );
+    let sp = dijkstra::multi_source_to(g, &[u], &[v], |e| {
+        if dropped.contains(e) {
+            0
+        } else {
+            g.weight(e)
+        }
+    });
     (sp.dist[v.idx()] < INF).then(|| {
         sp.path_edges(v)
             .into_iter()

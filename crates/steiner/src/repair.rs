@@ -7,9 +7,9 @@
 //!
 //! * [`connect_terminals`] — the *addition* repair: extend a forest until
 //!   a terminal set shares one tree, growing along cheapest contracted
-//!   paths ([`dsf_graph::dijkstra::multi_source_with`] with selected
-//!   edges at weight 0) exactly like the gluttonous greedy realizes its
-//!   merges;
+//!   paths ([`dsf_graph::dijkstra::multi_source_to`] with selected
+//!   edges at weight 0, stopping once the terminals are settled) exactly
+//!   like the gluttonous greedy realizes its merges;
 //! * [`reroute_components`] — a *global* repair move the swap/replace
 //!   local search of [`crate::local_search`] does not have: tear one
 //!   input component out of the forest entirely (prune against the
@@ -64,7 +64,7 @@ pub fn connect_terminals(
         selected[e.idx()] = true;
     }
     loop {
-        let sp = dijkstra::multi_source_with(g, &[anchor], |e| {
+        let sp = dijkstra::multi_source_to(g, &[anchor], terminals, |e| {
             if selected[e.idx()] {
                 0
             } else {
@@ -386,7 +386,7 @@ fn replace_move(
             // dropping a segment always disconnects something and the
             // only question is whether the reconnection is cheaper.
             let dropped = ForestSolution::from_edges(rest);
-            let sp = dijkstra::multi_source_with(g, &[u], |x| {
+            let sp = dijkstra::multi_source_to(g, &[u], &[node], |x| {
                 if dropped.contains(x) {
                     0
                 } else {
