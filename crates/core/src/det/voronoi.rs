@@ -9,12 +9,18 @@
 //! `(offset, owner, sender)` assignment and re-announce improvements, one
 //! coalesced announcement per edge per round, which yields the `O(s)`
 //! stabilization of distributed Bellman–Ford.
+//!
+//! A node's state is its status and its best assignment, nothing per
+//! edge: every announcement is sent in the round it is made, so the round
+//! computes each neighbor's coalesced announcement from the inbox alone.
 
 use dsf_congest::{
-    id_bits, run, CongestConfig, Message, NodeCtx, Outbox, Protocol, RunMetrics, SimError,
+    id_bits, CongestConfig, Message, NodeCtx, Outbox, Protocol, RunMetrics, SimError,
 };
 use dsf_graph::dyadic::Dyadic;
 use dsf_graph::{NodeId, WeightedGraph};
+
+use crate::primitives::Engine;
 
 /// Role of a node entering the decomposition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,26 +56,6 @@ struct VorNode {
     status: VorStatus,
     /// Free nodes: current best `(offset, owner, parent)`.
     best: Option<(Dyadic, u32, NodeId)>,
-    /// Latest unsent announcement per neighbor (coalesced).
-    pending: Vec<Option<VorMsg>>,
-}
-
-impl VorNode {
-    fn announce(&mut self, ctx: &NodeCtx, msg: VorMsg, except: Option<NodeId>) {
-        for (qi, &(nb, _)) in ctx.neighbors().iter().enumerate() {
-            if Some(nb) != except {
-                self.pending[qi] = Some(msg);
-            }
-        }
-    }
-
-    fn flush(&mut self, ctx: &NodeCtx, out: &mut Outbox<VorMsg>) {
-        for (qi, &(nb, _)) in ctx.neighbors().iter().enumerate() {
-            if let Some(msg) = self.pending[qi].take() {
-                out.send(nb, msg);
-            }
-        }
-    }
 }
 
 impl Protocol for VorNode {
@@ -77,43 +63,60 @@ impl Protocol for VorNode {
 
     fn init(&mut self, ctx: &NodeCtx, out: &mut Outbox<VorMsg>) {
         if let VorStatus::Source { owner, offset } = self.status {
-            self.announce(ctx, VorMsg { owner, offset }, None);
+            out.send_all(ctx, VorMsg { owner, offset });
         }
-        self.flush(ctx, out);
     }
 
+    /// Adopts every improvement in the inbox and announces the round's
+    /// result: each neighbor hears the last improvement, except the
+    /// neighbor that caused it, which hears the one before (if any). That
+    /// is the coalesced "latest announcement not learned from you" of a
+    /// pending slot per neighbor; no slot outlives the round, because
+    /// every announcement goes out in the round it is made.
     fn round(&mut self, ctx: &NodeCtx, inbox: &[(NodeId, VorMsg)], out: &mut Outbox<VorMsg>) {
-        if self.status == VorStatus::Free {
-            for &(from, msg) in inbox {
-                let edge = ctx
-                    .neighbors()
-                    .iter()
-                    .find(|&&(nb, _)| nb == from)
-                    .map(|&(_, e)| e)
-                    .expect("sender is a neighbor");
-                let cand = msg.offset + Dyadic::from_weight(ctx.weight(edge));
-                let better = match &self.best {
-                    None => true,
-                    Some((off, owner, parent)) => (cand, msg.owner, from) < (*off, *owner, *parent),
-                };
-                if better {
-                    self.best = Some((cand, msg.owner, from));
-                    self.announce(
-                        ctx,
-                        VorMsg {
-                            owner: msg.owner,
-                            offset: cand,
-                        },
-                        Some(from),
-                    );
+        if self.status != VorStatus::Free {
+            return;
+        }
+        let nbrs = ctx.neighbors();
+        // Senders arrive in ascending id order and neighbors are sorted by
+        // id, so one forward walk finds every sender's edge.
+        let mut slot = 0;
+        let (mut last, mut before): (Option<(NodeId, VorMsg)>, Option<VorMsg>) = (None, None);
+        for &(from, msg) in inbox {
+            while nbrs[slot].0 != from {
+                slot += 1;
+            }
+            let cand = msg.offset + Dyadic::from_weight(ctx.weight(nbrs[slot].1));
+            let better = match &self.best {
+                None => true,
+                Some((off, owner, parent)) => (cand, msg.owner, from) < (*off, *owner, *parent),
+            };
+            if better {
+                self.best = Some((cand, msg.owner, from));
+                before = last.map(|(_, m)| m);
+                last = Some((
+                    from,
+                    VorMsg {
+                        owner: msg.owner,
+                        offset: cand,
+                    },
+                ));
+            }
+        }
+        if let Some((improver, msg)) = last {
+            for &(nb, _) in nbrs {
+                if nb != improver {
+                    out.send(nb, msg);
+                } else if let Some(m) = before {
+                    out.send(nb, m);
                 }
             }
         }
-        self.flush(ctx, out);
     }
 
     fn done(&self) -> bool {
-        self.pending.iter().all(Option::is_none)
+        // Every announcement is sent in the round it is made.
+        true
     }
 }
 
@@ -138,16 +141,25 @@ pub fn decompose(
     status: &[VorStatus],
     cfg: &CongestConfig,
 ) -> Result<VoronoiOutcome, SimError> {
+    decompose_on(Engine::Event, g, status, cfg)
+}
+
+/// [`decompose`] on the given engine.
+pub(crate) fn decompose_on(
+    engine: Engine,
+    g: &WeightedGraph,
+    status: &[VorStatus],
+    cfg: &CongestConfig,
+) -> Result<VoronoiOutcome, SimError> {
     assert_eq!(status.len(), g.n());
     let nodes: Vec<VorNode> = g
         .nodes()
         .map(|v| VorNode {
             status: status[v.idx()],
             best: None,
-            pending: vec![None; g.degree(v)],
         })
         .collect();
-    let res = run(g, nodes, cfg)?;
+    let res = engine.run(g, nodes, cfg)?;
     Ok(VoronoiOutcome {
         tentative: res.states.iter().map(|s| s.best).collect(),
         metrics: res.metrics,
@@ -157,7 +169,28 @@ pub fn decompose(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::primitives::engine::testing::assert_engines_agree;
     use dsf_graph::generators;
+
+    #[test]
+    fn engines_agree() {
+        assert_engines_agree(|g, engine| {
+            // Sources with staggered offsets, a few walls, free elsewhere.
+            let status: Vec<VorStatus> = g
+                .nodes()
+                .map(|v| match v.0 % 9 {
+                    0 => VorStatus::Source {
+                        owner: v.0 / 9,
+                        offset: Dyadic::from_int(-(i128::from(v.0) % 4)),
+                    },
+                    4 => VorStatus::Blocked,
+                    _ => VorStatus::Free,
+                })
+                .collect();
+            let out = decompose_on(engine, g, &status, &CongestConfig::for_graph(g)).unwrap();
+            (out.tentative, out.metrics)
+        });
+    }
 
     #[test]
     fn free_nodes_adopt_closest_active_source() {

@@ -19,15 +19,28 @@
 //! exhausted child has streamed something at least as large (child streams
 //! are themselves ascending). Exhaustion is signalled by `Done` messages
 //! propagating up once subtrees drain.
+//!
+//! Node state is flat: a node borrows its children list from the tree,
+//! its per-child watermarks live in one per-run arena with an entry per
+//! tree edge, and the cycle filter (a union-find over the terminals) is
+//! built only at nodes that hold a candidate. A node waiting on a child
+//! (one that has not spoken yet, or whose watermark is below the next
+//! pending candidate) votes done, so the executor lets it sleep until the
+//! child's next message wakes it; the stream and every message are the
+//! same as if it were invoked every round.
 
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use dsf_congest::{
-    id_bits, run, CongestConfig, Message, NodeCtx, Outbox, Protocol, RunMetrics, SimError,
+    id_bits, CongestConfig, Message, NodeCtx, Outbox, Protocol, RunMetrics, SimError,
 };
 use dsf_graph::dyadic::Dyadic;
 use dsf_graph::union_find::UnionFind;
 use dsf_graph::{EdgeId, NodeId, WeightedGraph};
+
+use super::arena::Carve;
+use super::Engine;
 
 /// A candidate merge: an edge `{a, b}` of the candidate multigraph with
 /// its merge time `mu`, induced by graph edge `edge`.
@@ -91,14 +104,29 @@ pub enum UpcastMode<'a> {
     PhaseDetect(Box<dyn FnMut(&UpcastCandidate) -> UpcastRootVerdict + Send + 'a>),
 }
 
+/// What a node knows of one child's candidate stream.
+#[derive(Debug, Clone, Copy)]
+enum ChildStream {
+    /// Nothing received yet: nothing may be emitted until it speaks.
+    Silent,
+    /// The last candidate received (the stream is ascending).
+    At(UpcastCandidate),
+    /// The child's subtree has drained.
+    Done,
+}
+
 struct UpcastNode<'a> {
     parent: Option<NodeId>,
-    children: Vec<NodeId>,
-    pending: BinaryHeap<std::cmp::Reverse<UpcastCandidate>>,
-    uf: UnionFind,
-    /// Last candidate received per child (stream is ascending).
-    watermark: Vec<Option<UpcastCandidate>>,
-    child_done: Vec<bool>,
+    children: &'a [NodeId],
+    /// Per child, in `children` order: this node's part of the run's
+    /// arena, which has one entry per tree edge.
+    streams: &'a mut [ChildStream],
+    pending: BinaryHeap<Reverse<UpcastCandidate>>,
+    /// The cycle filter: `prior` plus every candidate this node has let
+    /// through. Built on first use, so nodes that never hold a candidate
+    /// never build one.
+    uf: Option<UnionFind>,
+    prior: &'a [u32],
     sent_done: bool,
     stopped: bool,
     forwarded_stop: bool,
@@ -122,8 +150,33 @@ impl UpcastNode<'_> {
         self.parent.is_none()
     }
 
-    fn child_index(&self, from: NodeId) -> Option<usize> {
-        self.children.iter().position(|&c| c == from)
+    fn filter(&mut self) -> &mut UnionFind {
+        let prior = self.prior;
+        self.uf.get_or_insert_with(|| {
+            let mut uf = UnionFind::new(prior.len());
+            for (i, &rep) in prior.iter().enumerate() {
+                uf.union(i, rep as usize);
+            }
+            uf
+        })
+    }
+
+    /// Index of child `from`, searching forward from `hint`. Inbox
+    /// senders are in ascending id order, and so are the children lists
+    /// `build_bfs_tree` makes, so one walk serves the whole inbox; any
+    /// other order falls back to a scan.
+    fn child_index(&self, from: NodeId, hint: &mut usize) -> usize {
+        while *hint < self.children.len() && self.children[*hint] < from {
+            *hint += 1;
+        }
+        if self.children.get(*hint) != Some(&from) {
+            *hint = self
+                .children
+                .iter()
+                .position(|&c| c == from)
+                .expect("only children send candidates and done");
+        }
+        *hint
     }
 
     /// Largest candidate we may currently emit: the min watermark over
@@ -132,21 +185,26 @@ impl UpcastNode<'_> {
         // Returns Some(bound) where bound=None means "unbounded";
         // outer None means "blocked by a silent child".
         let mut bound: Option<UpcastCandidate> = None;
-        for (i, done) in self.child_done.iter().enumerate() {
-            if *done {
-                continue;
-            }
-            match self.watermark[i] {
-                None => return None,
-                Some(w) => {
-                    bound = Some(match bound {
-                        None => w,
-                        Some(b) => b.min(w),
-                    });
-                }
+        for stream in self.streams.iter() {
+            match *stream {
+                ChildStream::Done => {}
+                ChildStream::Silent => return None,
+                ChildStream::At(w) => bound = Some(bound.map_or(w, |b| b.min(w))),
             }
         }
         Some(bound)
+    }
+
+    /// Whether `step` would do anything on an empty inbox: pass on (or
+    /// discard) a candidate, or report the subtree drained.
+    fn can_act(&self) -> bool {
+        let Some(bound) = self.emit_bound() else {
+            return false;
+        };
+        match self.pending.peek() {
+            Some(&Reverse(top)) => bound.is_none_or(|b| top <= b),
+            None => !self.is_root() && !self.sent_done && bound.is_none(),
+        }
     }
 
     /// Pops the minimal pending candidate that survives cycle filtering and
@@ -154,25 +212,25 @@ impl UpcastNode<'_> {
     fn next_emittable(&mut self) -> Option<UpcastCandidate> {
         let bound = self.emit_bound()?;
         loop {
-            let &std::cmp::Reverse(top) = self.pending.peek()?;
+            let &Reverse(top) = self.pending.peek()?;
             if let Some(b) = bound {
                 if top > b {
                     return None;
                 }
             }
             self.pending.pop();
-            if self.uf.union(top.a as usize, top.b as usize) {
+            if self.filter().union(top.a as usize, top.b as usize) {
                 return Some(top);
             }
             // Cycle with smaller candidates: discard and continue.
         }
     }
 
-    fn step(&mut self, ctx: &NodeCtx, out: &mut Outbox<UpMsg>) {
+    fn step(&mut self, out: &mut Outbox<UpMsg>) {
         if self.stopped {
             if !self.forwarded_stop {
                 self.forwarded_stop = true;
-                for &c in &self.children {
+                for &c in self.children {
                     out.send(c, UpMsg::Stop);
                 }
             }
@@ -183,7 +241,7 @@ impl UpcastNode<'_> {
             // The verdict runs *before* the union so that `StopBefore` can
             // reject a candidate without distorting the cycle filter.
             while let Some(bound) = self.emit_bound() {
-                let Some(&std::cmp::Reverse(top)) = self.pending.peek() else {
+                let Some(&Reverse(top)) = self.pending.peek() else {
                     break;
                 };
                 if let Some(b) = bound {
@@ -192,7 +250,7 @@ impl UpcastNode<'_> {
                     }
                 }
                 self.pending.pop();
-                if self.uf.same(top.a as usize, top.b as usize) {
+                if self.filter().same(top.a as usize, top.b as usize) {
                     continue; // cycle with smaller accepted candidates
                 }
                 let verdict = match &mut self.mode {
@@ -201,12 +259,12 @@ impl UpcastNode<'_> {
                 };
                 let stop = match verdict {
                     UpcastRootVerdict::Accept => {
-                        self.uf.union(top.a as usize, top.b as usize);
+                        self.filter().union(top.a as usize, top.b as usize);
                         self.accepted.push(top);
                         false
                     }
                     UpcastRootVerdict::AcceptAndStop => {
-                        self.uf.union(top.a as usize, top.b as usize);
+                        self.filter().union(top.a as usize, top.b as usize);
                         self.accepted.push(top);
                         true
                     }
@@ -216,7 +274,7 @@ impl UpcastNode<'_> {
                     self.stopped = true;
                     self.emit_stop = true;
                     self.forwarded_stop = true;
-                    for &ch in &self.children {
+                    for &ch in self.children {
                         out.send(ch, UpMsg::Stop);
                     }
                     return;
@@ -228,12 +286,11 @@ impl UpcastNode<'_> {
                 out.send(self.parent.unwrap(), UpMsg::Cand(c));
             } else if !self.sent_done
                 && self.pending.is_empty()
-                && self.child_done.iter().all(|&d| d)
+                && self.streams.iter().all(|s| matches!(s, ChildStream::Done))
             {
                 self.sent_done = true;
                 out.send(self.parent.unwrap(), UpMsg::Done);
             }
-            let _ = ctx;
         }
     }
 }
@@ -241,41 +298,39 @@ impl UpcastNode<'_> {
 impl Protocol for UpcastNode<'_> {
     type Msg = UpMsg;
 
-    fn init(&mut self, ctx: &NodeCtx, out: &mut Outbox<UpMsg>) {
-        self.step(ctx, out);
+    fn init(&mut self, _ctx: &NodeCtx, out: &mut Outbox<UpMsg>) {
+        self.step(out);
     }
 
-    fn round(&mut self, ctx: &NodeCtx, inbox: &[(NodeId, UpMsg)], out: &mut Outbox<UpMsg>) {
+    fn round(&mut self, _ctx: &NodeCtx, inbox: &[(NodeId, UpMsg)], out: &mut Outbox<UpMsg>) {
+        let mut hint = 0;
         for &(from, msg) in inbox {
             match msg {
                 UpMsg::Cand(c) => {
-                    let i = self
-                        .child_index(from)
-                        .expect("candidates come from children");
-                    self.watermark[i] = Some(c);
-                    self.pending.push(std::cmp::Reverse(c));
+                    let i = self.child_index(from, &mut hint);
+                    self.streams[i] = ChildStream::At(c);
+                    self.pending.push(Reverse(c));
                 }
                 UpMsg::Done => {
-                    let i = self.child_index(from).expect("done comes from children");
-                    self.child_done[i] = true;
+                    let i = self.child_index(from, &mut hint);
+                    self.streams[i] = ChildStream::Done;
                 }
                 UpMsg::Stop => {
                     self.stopped = true;
                 }
             }
         }
-        self.step(ctx, out);
+        self.step(out);
     }
 
+    /// Done once the node has nothing left to do, or while it is waiting
+    /// for a child: a node that cannot act before a message arrives may
+    /// sleep, and the message wakes it.
     fn done(&self) -> bool {
         if self.stopped {
             return self.forwarded_stop || self.children.is_empty();
         }
-        if self.is_root() {
-            self.child_done.iter().all(|&d| d) && self.pending.is_empty()
-        } else {
-            self.sent_done
-        }
+        !self.can_act()
     }
 }
 
@@ -310,31 +365,38 @@ pub fn filtered_upcast(
     mode: UpcastMode<'_>,
     cfg: &CongestConfig,
 ) -> Result<UpcastOutcome, SimError> {
+    let tree = (parent, children);
+    filtered_upcast_on(Engine::Event, g, tree, local, prior, mode, cfg)
+}
+
+/// [`filtered_upcast`] on the given engine; `tree` is `(parent, children)`.
+pub(crate) fn filtered_upcast_on(
+    engine: Engine,
+    g: &WeightedGraph,
+    (parent, children): (&[Option<NodeId>], &[Vec<NodeId>]),
+    local: Vec<Vec<UpcastCandidate>>,
+    prior: &[u32],
+    mode: UpcastMode<'_>,
+    cfg: &CongestConfig,
+) -> Result<UpcastOutcome, SimError> {
     assert_eq!(local.len(), g.n());
-    let mk_uf = || {
-        let mut uf = UnionFind::new(prior.len());
-        for (i, &rep) in prior.iter().enumerate() {
-            uf.union(i, rep as usize);
-        }
-        uf
-    };
     let root = g
         .nodes()
         .find(|v| parent[v.idx()].is_none())
         .expect("tree has a root");
+    let mut streams = vec![ChildStream::Silent; children.iter().map(Vec::len).sum()];
+    let mut carve = Carve::new(&mut streams);
     let mut mode_slot = Some(mode);
     let nodes: Vec<UpcastNode> = g
         .nodes()
-        .map(|v| UpcastNode {
+        .zip(local)
+        .map(|(v, cands)| UpcastNode {
             parent: parent[v.idx()],
-            children: children[v.idx()].clone(),
-            pending: local[v.idx()]
-                .iter()
-                .map(|&c| std::cmp::Reverse(c))
-                .collect(),
-            uf: mk_uf(),
-            watermark: vec![None; children[v.idx()].len()],
-            child_done: vec![false; children[v.idx()].len()],
+            children: &children[v.idx()],
+            streams: carve.take(children[v.idx()].len()),
+            pending: cands.into_iter().map(Reverse).collect::<Vec<_>>().into(),
+            uf: None,
+            prior,
             sent_done: false,
             stopped: false,
             forwarded_stop: false,
@@ -343,10 +405,10 @@ pub fn filtered_upcast(
             emit_stop: false,
         })
         .collect();
-    let res = run(g, nodes, cfg)?;
-    let root_state = &res.states[root.idx()];
+    let mut res = engine.run(g, nodes, cfg)?;
+    let root_state = &mut res.states[root.idx()];
     Ok(UpcastOutcome {
-        accepted: root_state.accepted.clone(),
+        accepted: std::mem::take(&mut root_state.accepted),
         stopped_early: root_state.emit_stop,
         metrics: res.metrics,
     })
@@ -356,7 +418,60 @@ pub fn filtered_upcast(
 mod tests {
     use super::*;
     use crate::primitives::build_bfs_tree;
+    use crate::primitives::engine::testing::assert_engines_agree;
     use dsf_graph::generators;
+
+    /// One candidate per graph edge over 12 terminals, held by the
+    /// smaller endpoint, through the BFS tree from node 0.
+    fn upcast_on_edges(g: &WeightedGraph, engine: Engine, mode: UpcastMode<'_>) -> UpcastOutcome {
+        let cfg = CongestConfig::for_graph(g);
+        let bfs = build_bfs_tree(g, NodeId(0), &cfg).unwrap();
+        let mut local = vec![Vec::new(); g.n()];
+        for (i, e) in g.edges().iter().enumerate() {
+            let (x, y) = ((e.u.0 * 7) % 12, (e.v.0 * 5 + 1) % 12);
+            if x == y {
+                continue;
+            }
+            local[e.u.idx().min(e.v.idx())].push(UpcastCandidate {
+                mu: Dyadic::from_int(i128::from(e.w)),
+                a: x.min(y),
+                b: x.max(y),
+                edge: EdgeId(i as u32),
+            });
+        }
+        let prior: Vec<u32> = (0..12).map(|i| if i == 11 { 10 } else { i }).collect();
+        let tree = (&bfs.parent[..], &bfs.children[..]);
+        filtered_upcast_on(engine, g, tree, local, &prior, mode, &cfg).unwrap()
+    }
+
+    #[test]
+    fn engines_agree_draining() {
+        assert_engines_agree(|g, engine| {
+            let out = upcast_on_edges(g, engine, UpcastMode::DrainAll);
+            assert!(!out.accepted.is_empty());
+            (out.accepted, out.stopped_early, out.metrics)
+        });
+    }
+
+    #[test]
+    fn engines_agree_detecting_a_phase_end() {
+        assert_engines_agree(|g, engine| {
+            let mut seen = 0;
+            let verdict = move |c: &UpcastCandidate| {
+                seen += 1;
+                if c.mu >= Dyadic::from_int(12) {
+                    UpcastRootVerdict::StopBefore
+                } else if seen == 4 {
+                    UpcastRootVerdict::AcceptAndStop
+                } else {
+                    UpcastRootVerdict::Accept
+                }
+            };
+            let out = upcast_on_edges(g, engine, UpcastMode::PhaseDetect(Box::new(verdict)));
+            assert!(out.stopped_early);
+            (out.accepted, out.stopped_early, out.metrics)
+        });
+    }
 
     fn cand(mu: i128, a: u32, b: u32, e: u32) -> UpcastCandidate {
         UpcastCandidate {

@@ -2,17 +2,16 @@
 //! virtual tree; requests are routed physically with filtering and
 //! multiplexing; traversed edges form the stage-1 output `F`.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-
 use dsf_congest::{
-    id_bits, run, CongestConfig, Message, NodeCtx, Outbox, Protocol, RoundLedger, SimError,
+    id_bits, CongestConfig, Message, NodeCtx, Outbox, Protocol, RoundLedger, SimError,
 };
-use dsf_embed::Embedding;
+use dsf_embed::{Embedding, TruncatedChain};
 use dsf_graph::{EdgeId, NodeId, WeightedGraph};
 use dsf_steiner::{ForestSolution, Instance};
 
-use crate::primitives::BfsOutcome;
-use crate::transforms::multi_holder_labels;
+use crate::primitives::arena::Carve;
+use crate::primitives::{BfsOutcome, Engine};
+use crate::transforms::multi_holder_labels_on;
 
 /// A routed request: "connect label `label` towards destination `dest`"
 /// (the paper's `(λ, v_i)` messages).
@@ -28,17 +27,30 @@ impl Message for RouteMsg {
     }
 }
 
+/// End of a slot's chain in [`RouteNode::queued`].
+const NIL: u32 = u32::MAX;
+
 #[derive(Debug)]
-struct RouteNode {
-    /// `dest -> next hop` from this node (installed shortest paths).
-    resolver: HashMap<NodeId, NodeId>,
+struct RouteNode<'a> {
+    /// Installed shortest paths: next hops come from the embedding's
+    /// route tables, or from this node's `S`-Voronoi entry for its
+    /// closest `S` member when the tree is truncated.
+    emb: &'a Embedding,
+    trunc: Option<&'a TruncatedChain>,
     /// Locally originated requests (Step 3b's `list`).
-    initial: Vec<RouteMsg>,
-    /// One FIFO per neighbor — the round-robin multiplexing over
-    /// destinations that yields the paper's pipelining.
-    queues: Vec<VecDeque<RouteMsg>>,
-    /// First-message filter per `(λ, dest)` (Step 3c).
-    seen: HashSet<(u32, NodeId)>,
+    starts: &'a [RouteMsg],
+    /// Every request queued here, in arrival order, chained per outgoing
+    /// slot through the second field: one FIFO per neighbor — the
+    /// round-robin multiplexing over destinations that yields the paper's
+    /// pipelining.
+    queued: Vec<(RouteMsg, u32)>,
+    /// Per incident slot: the first and last queued entry (`NIL` if
+    /// empty). This node's part of the run's slot arena.
+    fifo: &'a mut [(u32, u32)],
+    /// Slots with a queued request.
+    busy: u32,
+    /// First-message filter per `(λ, dest)` (Step 3c), sorted.
+    seen: Vec<(u32, NodeId)>,
     /// Requests that terminated here (`dest == self`), with their last hop
     /// (`None` = originated locally), in arrival order.
     arrived: Vec<(u32, Option<NodeId>)>,
@@ -47,64 +59,85 @@ struct RouteNode {
     traversed: Vec<EdgeId>,
 }
 
-impl RouteNode {
+impl RouteNode<'_> {
+    fn next_hop(&self, x: NodeId, dest: NodeId) -> Option<NodeId> {
+        self.emb.next_hop(x, dest).or_else(|| {
+            self.trunc
+                .filter(|t| t.closest_s == dest)
+                .and_then(|t| t.next_hop_s)
+        })
+    }
+
     fn handle(&mut self, ctx: &NodeCtx, msg: RouteMsg, from: Option<NodeId>) {
-        if !self.seen.insert((msg.label, msg.dest)) {
-            return; // only the first (λ, dest) message is forwarded
+        match self.seen.binary_search(&(msg.label, msg.dest)) {
+            Ok(_) => return, // only the first (λ, dest) message is forwarded
+            Err(i) => self.seen.insert(i, (msg.label, msg.dest)),
         }
         if msg.dest == ctx.id {
             self.arrived.push((msg.label, from));
             return;
         }
-        let hop = *self
-            .resolver
-            .get(&msg.dest)
+        let hop = self
+            .next_hop(ctx.id, msg.dest)
             .unwrap_or_else(|| panic!("{}: no route to {}", ctx.id, msg.dest));
-        let qi = ctx
+        let slot = ctx
             .neighbors()
-            .iter()
-            .position(|&(nb, _)| nb == hop)
+            .binary_search_by_key(&hop, |&(nb, _)| nb)
             .expect("next hop is a neighbor");
-        self.queues[qi].push_back(msg);
+        let at = self.queued.len() as u32;
+        self.queued.push((msg, NIL));
+        let (head, tail) = &mut self.fifo[slot];
+        if *head == NIL {
+            *head = at;
+            self.busy += 1;
+        } else {
+            self.queued[*tail as usize].1 = at;
+        }
+        *tail = at;
     }
 
     fn flush(&mut self, ctx: &NodeCtx, out: &mut Outbox<RouteMsg>) {
-        for (qi, &(nb, _)) in ctx.neighbors().iter().enumerate() {
-            if let Some(m) = self.queues[qi].pop_front() {
-                out.send(nb, m);
+        for (&(nb, _), (head, _)) in ctx.neighbors().iter().zip(self.fifo.iter_mut()) {
+            if *head != NIL {
+                let (msg, next) = self.queued[*head as usize];
+                out.send(nb, msg);
+                *head = next;
+                if next == NIL {
+                    self.busy -= 1;
+                }
             }
         }
     }
 }
 
-impl Protocol for RouteNode {
+impl Protocol for RouteNode<'_> {
     type Msg = RouteMsg;
 
     fn init(&mut self, ctx: &NodeCtx, out: &mut Outbox<RouteMsg>) {
-        let msgs = std::mem::take(&mut self.initial);
-        for m in msgs {
+        for &m in self.starts {
             self.handle(ctx, m, None);
         }
         self.flush(ctx, out);
     }
 
     fn round(&mut self, ctx: &NodeCtx, inbox: &[(NodeId, RouteMsg)], out: &mut Outbox<RouteMsg>) {
+        // Senders arrive in ascending id order and neighbors are sorted by
+        // id, so one forward walk finds every sender's edge.
+        let nbrs = ctx.neighbors();
+        let mut slot = 0;
         for &(from, m) in inbox {
-            let edge = ctx
-                .neighbors()
-                .iter()
-                .find(|&&(nb, _)| nb == from)
-                .map(|&(_, e)| e)
-                .expect("sender is a neighbor");
+            while nbrs[slot].0 != from {
+                slot += 1;
+            }
             // Record before filtering: the edge was traversed either way.
-            self.traversed.push(edge);
+            self.traversed.push(nbrs[slot].1);
             self.handle(ctx, m, Some(from));
         }
         self.flush(ctx, out);
     }
 
     fn done(&self) -> bool {
-        self.queues.iter().all(VecDeque::is_empty)
+        self.busy == 0
     }
 }
 
@@ -129,6 +162,18 @@ pub fn run_selection_stage(
     bfs: &BfsOutcome,
     cfg: &CongestConfig,
 ) -> Result<SelectionResult, SimError> {
+    run_selection_stage_on(Engine::Event, g, emb, minimal, bfs, cfg)
+}
+
+/// [`run_selection_stage`] on the given engine.
+pub(crate) fn run_selection_stage_on(
+    engine: Engine,
+    g: &WeightedGraph,
+    emb: &Embedding,
+    minimal: &Instance,
+    bfs: &BfsOutcome,
+    cfg: &CongestConfig,
+) -> Result<SelectionResult, SimError> {
     let n = g.n();
     let mut ledger = RoundLedger::new();
     // Step 2: custody starts at the terminals.
@@ -136,11 +181,11 @@ pub fn run_selection_stage(
         .nodes()
         .map(|v| minimal.label(v).map(|l| vec![l.0]).unwrap_or_default())
         .collect();
-    let mut f_edges: HashSet<EdgeId> = HashSet::new();
+    let mut f_edges: Vec<EdgeId> = Vec::new();
 
     for i in 0..=emb.top_level {
         // Step 3a: which labels still have two or more custodians?
-        let keep = multi_holder_labels(g, bfs, &custody, cfg, &mut ledger)?;
+        let keep = multi_holder_labels_on(engine, g, bfs, &custody, cfg, &mut ledger)?;
         for c in custody.iter_mut() {
             c.retain(|l| keep.contains(l));
         }
@@ -150,10 +195,10 @@ pub fn run_selection_stage(
             break;
         }
 
-        // Step 3b: destinations for this phase.
-        let mut initial: Vec<Vec<RouteMsg>> = vec![Vec::new(); n];
-        let mut resolvers: Vec<HashMap<NodeId, NodeId>> = vec![HashMap::new(); n];
-        let mut dests_used: HashSet<NodeId> = HashSet::new();
+        // Step 3b: destinations for this phase, one request per custody
+        // label, grouped by node in one arena.
+        let mut starts: Vec<RouteMsg> = Vec::new();
+        let mut count: Vec<usize> = vec![0; n];
         for v in g.nodes() {
             if custody[v.idx()].is_empty() {
                 continue;
@@ -162,41 +207,35 @@ pub fn run_selection_stage(
                 Some(tr) if (i as usize) >= tr[v.idx()].prefix_len => tr[v.idx()].closest_s,
                 _ => emb.chains[v.idx()][i as usize],
             };
-            dests_used.insert(dest);
             for &l in &custody[v.idx()] {
-                initial[v.idx()].push(RouteMsg { label: l, dest });
+                starts.push(RouteMsg { label: l, dest });
             }
-        }
-        // Install the next-hop tables for the destinations in use: the
-        // ancestor paths from the embedding, or the S-Voronoi tree for
-        // truncated destinations.
-        for x in g.nodes() {
-            for &dest in &dests_used {
-                if let Some(hop) = emb.next_hop(x, dest) {
-                    resolvers[x.idx()].insert(dest, hop);
-                }
-            }
-            if let Some(tr) = &emb.truncation {
-                let t = &tr[x.idx()];
-                if let Some(hop) = t.next_hop_s {
-                    resolvers[x.idx()].entry(t.closest_s).or_insert(hop);
-                }
-            }
+            count[v.idx()] = custody[v.idx()].len();
         }
 
-        // Step 3c: run the routing protocol.
+        // Step 3c: run the routing protocol along the installed paths.
+        let mut fifo = vec![(NIL, NIL); 2 * g.m()];
+        let mut fifos = Carve::new(&mut fifo);
+        let mut rest: &[RouteMsg] = &starts;
         let nodes: Vec<RouteNode> = g
             .nodes()
-            .map(|v| RouteNode {
-                resolver: std::mem::take(&mut resolvers[v.idx()]),
-                initial: std::mem::take(&mut initial[v.idx()]),
-                queues: vec![VecDeque::new(); g.degree(v)],
-                seen: HashSet::new(),
-                arrived: Vec::new(),
-                traversed: Vec::new(),
+            .map(|v| {
+                let (mine, tail) = rest.split_at(count[v.idx()]);
+                rest = tail;
+                RouteNode {
+                    emb,
+                    trunc: emb.truncation.as_ref().map(|tr| &tr[v.idx()]),
+                    starts: mine,
+                    queued: Vec::new(),
+                    fifo: fifos.take(g.degree(v)),
+                    busy: 0,
+                    seen: Vec::new(),
+                    arrived: Vec::new(),
+                    traversed: Vec::new(),
+                }
             })
             .collect();
-        let res = run(g, nodes, cfg)?;
+        let res = engine.run(g, nodes, cfg)?;
         ledger.record(
             format!("phase {i}: request routing (Step 3c)"),
             &res.metrics,
@@ -238,15 +277,18 @@ pub fn run_selection_stage(
     }
 
     Ok(SelectionResult {
-        forest: f_edges.into_iter().collect(),
+        forest: ForestSolution::from_edges(f_edges),
         ledger,
     })
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use crate::primitives::build_bfs_tree;
+    use crate::primitives::engine::testing::assert_engines_agree;
     use dsf_embed::EmbeddingConfig;
     use dsf_graph::generators;
     use dsf_steiner::random_instance;
@@ -261,6 +303,20 @@ mod tests {
         let bfs = build_bfs_tree(g, NodeId(0), &cfg).unwrap();
         let emb = Embedding::build(g, &EmbeddingConfig { seed, truncate });
         run_selection_stage(g, &emb, inst, &bfs, &cfg).unwrap()
+    }
+
+    #[test]
+    fn engines_agree() {
+        for truncate in [None, Some(6)] {
+            assert_engines_agree(|g, engine| {
+                let cfg = CongestConfig::for_graph(g);
+                let bfs = build_bfs_tree(g, NodeId(0), &cfg).unwrap();
+                let emb = Embedding::build(g, &EmbeddingConfig { seed: 3, truncate });
+                let inst = random_instance(g, 3, 3, 4);
+                let out = run_selection_stage_on(engine, g, &emb, &inst, &bfs, &cfg).unwrap();
+                (out.forest, out.ledger)
+            });
+        }
     }
 
     #[test]

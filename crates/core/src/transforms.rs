@@ -11,10 +11,10 @@
 //!   forwarded towards the root, which broadcasts the set of labels with
 //!   at least two terminals.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 use dsf_congest::{
-    id_bits, run, CongestConfig, Message, NodeCtx, Outbox, Protocol, RoundLedger, SimError,
+    id_bits, CongestConfig, Message, NodeCtx, Outbox, Protocol, RoundLedger, SimError,
 };
 use dsf_graph::dyadic::Dyadic;
 use dsf_graph::union_find::UnionFind;
@@ -22,7 +22,8 @@ use dsf_graph::{EdgeId, NodeId, WeightedGraph};
 use dsf_steiner::{ConnectionRequests, Instance, InstanceBuilder};
 
 use crate::primitives::{
-    build_bfs_tree, filtered_upcast, flood_items, FloodItem, UpcastCandidate, UpcastMode,
+    build_bfs_tree, filtered_upcast, flood_items, flood_items_on, Engine, FloodItem,
+    UpcastCandidate, UpcastMode,
 };
 
 /// Lemma 2.3: transforms a DSF-CR input into an equivalent DSF-IC instance.
@@ -140,57 +141,62 @@ impl Message for MinMsg {
     }
 }
 
-/// Convergecast node: forwards at most two witnesses per label (the second
-/// is collapsed into `Many`), so each node sends `O(k)` messages total.
+/// What a node has heard about one label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Heard {
+    /// One terminal witness.
+    One(NodeId),
+    /// Two or more distinct terminals (or a `Many` report).
+    Many,
+}
+
+/// Convergecast node: forwards at most one witness per label and
+/// collapses a second one into `Many`, so each node sends `O(k)` messages
+/// in total.
 #[derive(Debug)]
 struct MinNode {
     parent: Option<NodeId>,
-    /// Label -> witnesses seen (capped at 2) and whether `Many` was seen.
-    seen: HashMap<u32, (Vec<NodeId>, bool)>,
-    outq: VecDeque<MinMsg>,
-    /// Labels already escalated to `Many` upstream.
-    sent_many: HashSet<u32>,
-    /// Witnesses already forwarded.
-    sent_wit: HashSet<(u32, NodeId)>,
+    /// Per label heard of, sorted by label.
+    heard: Vec<(u32, Heard)>,
+    /// Reports for the parent, in order; the first `sent` are sent.
+    outq: Vec<MinMsg>,
+    sent: usize,
 }
 
 impl MinNode {
     fn ingest(&mut self, msg: MinMsg) {
-        match msg {
-            MinMsg::Witness { label, term } => {
-                let entry = self.seen.entry(label).or_default();
-                if entry.1 || entry.0.contains(&term) {
-                    return;
-                }
-                entry.0.push(term);
-                if entry.0.len() >= 2 {
-                    entry.1 = true;
-                    if self.sent_many.insert(label) {
-                        self.outq.push_back(MinMsg::Many { label });
-                    }
-                } else if self.sent_wit.insert((label, term)) {
-                    self.outq.push_back(MinMsg::Witness { label, term });
+        let (label, term) = match msg {
+            MinMsg::Witness { label, term } => (label, Some(term)),
+            MinMsg::Many { label } => (label, None),
+        };
+        let report = match self.heard.binary_search_by_key(&label, |&(l, _)| l) {
+            Err(i) => {
+                let heard = term.map_or(Heard::Many, Heard::One);
+                self.heard.insert(i, (label, heard));
+                match heard {
+                    Heard::One(term) => MinMsg::Witness { label, term },
+                    Heard::Many => MinMsg::Many { label },
                 }
             }
-            MinMsg::Many { label } => {
-                let entry = self.seen.entry(label).or_default();
-                if !entry.1 {
-                    entry.1 = true;
-                    if self.sent_many.insert(label) {
-                        self.outq.push_back(MinMsg::Many { label });
-                    }
+            Ok(i) => match self.heard[i].1 {
+                Heard::Many => return,
+                Heard::One(first) if Some(first) == term => return,
+                Heard::One(_) => {
+                    self.heard[i].1 = Heard::Many;
+                    MinMsg::Many { label }
                 }
-            }
+            },
+        };
+        // The root reports to no one.
+        if self.parent.is_some() {
+            self.outq.push(report);
         }
     }
 
     fn flush(&mut self, out: &mut Outbox<MinMsg>) {
-        if let Some(p) = self.parent {
-            if let Some(m) = self.outq.pop_front() {
-                out.send(p, m);
-            }
-        } else {
-            self.outq.clear();
+        if let (Some(p), Some(&m)) = (self.parent, self.outq.get(self.sent)) {
+            out.send(p, m);
+            self.sent += 1;
         }
     }
 }
@@ -210,7 +216,7 @@ impl Protocol for MinNode {
     }
 
     fn done(&self) -> bool {
-        self.outq.is_empty()
+        self.sent == self.outq.len()
     }
 }
 
@@ -230,15 +236,26 @@ pub fn multi_holder_labels(
     cfg: &CongestConfig,
     ledger: &mut RoundLedger,
 ) -> Result<HashSet<u32>, SimError> {
+    multi_holder_labels_on(Engine::Event, g, bfs, holders, cfg, ledger)
+}
+
+/// [`multi_holder_labels`] on the given engine.
+pub(crate) fn multi_holder_labels_on(
+    engine: Engine,
+    g: &WeightedGraph,
+    bfs: &crate::primitives::BfsOutcome,
+    holders: &[Vec<u32>],
+    cfg: &CongestConfig,
+    ledger: &mut RoundLedger,
+) -> Result<HashSet<u32>, SimError> {
     let nodes: Vec<MinNode> = g
         .nodes()
         .map(|v| {
             let mut node = MinNode {
                 parent: bfs.parent[v.idx()],
-                seen: HashMap::new(),
-                outq: VecDeque::new(),
-                sent_many: HashSet::new(),
-                sent_wit: HashSet::new(),
+                heard: Vec::new(),
+                outq: Vec::new(),
+                sent: 0,
             };
             for &l in &holders[v.idx()] {
                 node.ingest(MinMsg::Witness { label: l, term: v });
@@ -246,7 +263,7 @@ pub fn multi_holder_labels(
             node
         })
         .collect();
-    let res = run(g, nodes, cfg)?;
+    let res = engine.run(g, nodes, cfg)?;
     ledger.record(
         "label multiplicity convergecast (≤ 2 per label)",
         &res.metrics,
@@ -255,10 +272,10 @@ pub fn multi_holder_labels(
 
     let root_state = &res.states[bfs.root.idx()];
     let keep: HashSet<u32> = root_state
-        .seen
+        .heard
         .iter()
-        .filter(|(_, (wits, many))| *many || wits.len() >= 2)
-        .map(|(&l, _)| l)
+        .filter(|(_, heard)| *heard == Heard::Many)
+        .map(|&(l, _)| l)
         .collect();
     let items: Vec<FloodItem> = keep
         .iter()
@@ -269,7 +286,7 @@ pub fn multi_holder_labels(
         .collect();
     let mut initial = vec![Vec::new(); g.n()];
     initial[bfs.root.idx()] = items;
-    let fl = flood_items(g, initial, cfg)?;
+    let fl = flood_items_on(engine, g, initial, cfg)?;
     ledger.record("multi-holder label broadcast (k items)", &fl.metrics);
     Ok(keep)
 }
@@ -308,7 +325,34 @@ pub fn minimalize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::primitives::engine::testing::assert_engines_agree;
     use dsf_graph::generators;
+
+    #[test]
+    fn multi_holder_engines_agree() {
+        assert_engines_agree(|g, engine| {
+            let cfg = CongestConfig::for_graph(g);
+            let bfs = build_bfs_tree(g, NodeId(0), &cfg).unwrap();
+            // Labels 0..6 on every other node (label 5 on one node only),
+            // two labels on some nodes.
+            let holders: Vec<Vec<u32>> = g
+                .nodes()
+                .map(|v| match v.0 % 6 {
+                    0 => vec![(v.0 / 6) % 5],
+                    2 => vec![(v.0 / 6) % 5, ((v.0 / 6) + 2) % 5],
+                    4 if v.0 == 4 => vec![5],
+                    _ => Vec::new(),
+                })
+                .collect();
+            let mut ledger = RoundLedger::new();
+            let keep =
+                multi_holder_labels_on(engine, g, &bfs, &holders, &cfg, &mut ledger).unwrap();
+            let mut keep: Vec<u32> = keep.into_iter().collect();
+            keep.sort_unstable();
+            assert!(!keep.contains(&5));
+            (keep, ledger)
+        });
+    }
 
     #[test]
     fn cr_to_ic_matches_centralized_reference() {

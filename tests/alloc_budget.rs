@@ -1,0 +1,91 @@
+//! Allocation budget of a warm solve.
+//!
+//! A `SolverSession` keeps the executor's slot arenas warm in its pool,
+//! and the protocol stages keep their node state in a few per-run arenas
+//! instead of per-node collections. This test counts the heap allocations
+//! of the third det solve of a 64×64 grid on one session and holds them
+//! under a budget: a stage that goes back to per-node hash sets, queues or
+//! cloned lists costs thousands of allocations per run and fails it.
+//!
+//! The test binary installs its own counting global allocator, which
+//! counts only on the thread that runs the measured solve.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use steiner_forest::graph::generators;
+use steiner_forest::service::{SolveRequest, SolverKind, SolverSession};
+use steiner_forest::steiner::random_instance;
+
+/// Allocations allowed in the third warm det solve.
+const BUDGET: u64 = 16_500;
+
+struct Counting;
+
+thread_local! {
+    /// Allocation calls on this thread while `counting` is set.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    // `try_with`: the allocator may run while thread-locals are torn down.
+    let _ = COUNTING.try_with(|on| {
+        if on.get() {
+            let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+        }
+    });
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the wrapper only
+// bumps a thread-local counter.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Allocation calls made by `f` on this thread.
+fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    CALLS.with(|c| c.set(0));
+    COUNTING.with(|on| on.set(true));
+    let r = f();
+    COUNTING.with(|on| on.set(false));
+    (CALLS.with(Cell::get), r)
+}
+
+#[test]
+fn a_warm_det_solve_stays_within_its_allocation_budget() {
+    let g = Arc::new(generators::grid(64, 64, 16, 1 ^ 0x61));
+    let inst = random_instance(&g, 8, 4, 1 ^ 0x63);
+    let req = SolveRequest::new("grid64", g, inst, SolverKind::Deterministic, 1);
+    let mut session = SolverSession::new();
+    let first = session.solve(&req).expect("det solves the grid");
+    session.solve(&req).expect("second solve");
+    let (calls, third) = allocations(|| session.solve(&req).expect("third solve"));
+    assert_eq!(third.forest, first.forest, "warm solves are bit-identical");
+    eprintln!("third warm det solve: {calls} allocations (budget {BUDGET})");
+    assert!(
+        calls <= BUDGET,
+        "third warm det solve made {calls} allocations, over the budget of {BUDGET}"
+    );
+}
