@@ -43,7 +43,7 @@
 //!      "moves": 2, "weight": 41, "scratch_weight": 41,
 //!      "ratio_milli": 1000, "bound_milli": 4000, "rounds": 310,
 //!      "messages": 6200, "repair_wall_ns": 1, "scratch_wall_ns": 9,
-//!      "speedup_milli": 9000}
+//!      "speedup_milli": 9000, "race_wall_ns": 0}
 //!   ]
 //! }
 //! ```
@@ -51,8 +51,10 @@
 //! `name`, `step`, `k`, `moves`, `weight`, `scratch_weight`,
 //! `ratio_milli`, `bound_milli`, `rounds`, and `messages` are
 //! deterministic (identical on every machine and thread count);
-//! `repair_wall_ns`, `scratch_wall_ns`, and `speedup_milli` are
-//! machine-dependent, report-only, tracked as a trajectory via the CI
+//! `repair_wall_ns`, `scratch_wall_ns`, `speedup_milli` and
+//! `race_wall_ns` (the part of `repair_wall_ns` the delta spent racing a
+//! from-scratch candidate, 0 when it ran no race; optional for readers)
+//! are machine-dependent, report-only, tracked as a trajectory via the CI
 //! artifact. One entry object per line, same line-oriented convention as
 //! the executor schema.
 
@@ -104,6 +106,9 @@ pub struct ChurnBenchEntry {
     pub scratch_wall_ns: u64,
     /// `1000 × scratch_wall_ns / repair_wall_ns` (report-only).
     pub speedup_milli: u64,
+    /// The part of `repair_wall_ns` spent in the delta's from-scratch
+    /// race, 0 without one (report-only).
+    pub race_wall_ns: u64,
 }
 
 /// A full `--churn` report.
@@ -130,7 +135,7 @@ impl ChurnBenchReport {
                  \"weight\": {}, \"scratch_weight\": {}, \"ratio_milli\": {}, \
                  \"bound_milli\": {}, \"rounds\": {}, \"messages\": {}, \
                  \"repair_wall_ns\": {}, \"scratch_wall_ns\": {}, \
-                 \"speedup_milli\": {}}}{comma}\n",
+                 \"speedup_milli\": {}, \"race_wall_ns\": {}}}{comma}\n",
                 e.name,
                 e.step,
                 e.k,
@@ -144,6 +149,7 @@ impl ChurnBenchReport {
                 e.repair_wall_ns,
                 e.scratch_wall_ns,
                 e.speedup_milli,
+                e.race_wall_ns,
             ));
         }
         s.push_str("  ]\n}\n");
@@ -167,6 +173,7 @@ struct StepRecord {
     weight: u64,
     moves: u64,
     repair_wall_ns: u64,
+    race_wall_ns: u64,
     anchor_rounds: u64,
     anchor_messages: u64,
 }
@@ -218,6 +225,7 @@ fn replay(trace: &ChurnTrace, threads: usize) -> Vec<StepRecord> {
             weight: outcome.weight,
             moves: outcome.moves,
             repair_wall_ns: outcome.wall_ns,
+            race_wall_ns: outcome.race_ns,
             anchor_rounds: anchor.rounds(),
             anchor_messages: anchor.messages(),
         });
@@ -286,7 +294,13 @@ pub fn collect(quick: bool) -> ChurnBenchReport {
                 continue;
             }
             total_steps += 1;
-            let repair_wall_ns = rec.repair_wall_ns.min(alt[i].repair_wall_ns).max(1);
+            // The faster of the two replays, with its own race split.
+            let fast = if rec.repair_wall_ns <= alt[i].repair_wall_ns {
+                rec
+            } else {
+                &alt[i]
+            };
+            let repair_wall_ns = fast.repair_wall_ns.max(1);
             let slot = per_op.entry(op_tag(&step.op)).or_insert((0, 0));
             slot.1 += 1;
             if repair_wall_ns * 2 <= scratch_wall_ns {
@@ -308,6 +322,7 @@ pub fn collect(quick: bool) -> ChurnBenchReport {
                 repair_wall_ns,
                 scratch_wall_ns,
                 speedup_milli: (1000 * scratch_wall_ns) / repair_wall_ns,
+                race_wall_ns: fast.race_wall_ns,
             });
         }
     }
@@ -349,6 +364,7 @@ mod tests {
                 repair_wall_ns: 1,
                 scratch_wall_ns: 9,
                 speedup_milli: 9000,
+                race_wall_ns: 0,
             }],
         };
         let json = report.to_json();

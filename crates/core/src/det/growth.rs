@@ -259,12 +259,6 @@ pub fn solve_growth(
         } else {
             up.accepted.last().expect("stopped at a merge").mu
         };
-        if std::env::var("DSF_DEBUG").is_ok() {
-            eprintln!(
-                "phase {merge_phases}: mu_hat={mu_hat} elapsed={elapsed} remaining={remaining} checkpoint={checkpoint} mu_step={mu_step} accepted={:?}",
-                up.accepted.iter().map(|c| (c.a, c.b, format!("{}", c.mu))).collect::<Vec<_>>()
-            );
-        }
 
         // Broadcast F_c^{(j)} and μ (root-computed).
         let mut items: Vec<FloodItem> = up

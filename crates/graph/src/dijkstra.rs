@@ -326,11 +326,13 @@ mod tests {
         // 0 -huge- 1 -huge- 2: the two-edge path sum exceeds INF (but
         // not u64), so node 2 is "unreachable" from 0; node 1 is at a
         // finite (huge) distance.
+        // (`build` refuses such a total weight; the clamp still guards
+        // unchecked graphs and weight overrides.)
         let huge = INF - 1;
         let mut b = GraphBuilder::new(3);
         b.add_edge(NodeId(0), NodeId(1), huge).unwrap();
         b.add_edge(NodeId(1), NodeId(2), huge).unwrap();
-        let g = b.build().unwrap();
+        let g = b.build_unchecked();
         let sp = shortest_paths(&g, NodeId(0));
         assert_eq!(sp.dist[1], huge);
         assert_eq!(sp.dist[2], INF, "saturated distance must read unreachable");

@@ -122,6 +122,17 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
+/// Refuses a total edge weight at or above [`INF`] (summed in `u128`, so
+/// the sum itself cannot overflow).
+fn check_total_weight(weights: impl Iterator<Item = Weight>) -> Result<(), GraphError> {
+    let total: u128 = weights.map(u128::from).sum();
+    if total < u128::from(INF) {
+        Ok(())
+    } else {
+        Err(GraphError::TotalWeightOverflow)
+    }
+}
+
 /// Incrementally assembles a [`WeightedGraph`], validating as it goes.
 ///
 /// # Example
@@ -193,16 +204,19 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Finishes the graph, checking connectivity.
+    /// Finishes the graph, checking connectivity and the total weight.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::Disconnected`] if the graph is not connected and
-    /// [`GraphError::Empty`] if `n == 0`.
+    /// Returns [`GraphError::Disconnected`] if the graph is not connected,
+    /// [`GraphError::Empty`] if `n == 0`, and
+    /// [`GraphError::TotalWeightOverflow`] if the total edge weight reaches
+    /// [`INF`].
     pub fn build(self) -> Result<WeightedGraph, GraphError> {
         if self.n == 0 {
             return Err(GraphError::Empty);
         }
+        check_total_weight(self.edges.iter().map(|e| e.w))?;
         let g = self.build_unchecked();
         if !g.is_connected() {
             return Err(GraphError::Disconnected);
@@ -210,7 +224,8 @@ impl GraphBuilder {
         Ok(g)
     }
 
-    /// Finishes the graph without the connectivity check.
+    /// Finishes the graph without the connectivity and total-weight
+    /// checks.
     ///
     /// Useful for intermediate graphs (e.g. the forest `(V, F)` of selected
     /// edges, which is intentionally disconnected).
@@ -298,8 +313,8 @@ impl WeightedGraph {
     /// # Errors
     ///
     /// Returns the same [`GraphError`]s as the builder path: out-of-range
-    /// endpoints, self loops, zero weights, duplicate edges,
-    /// disconnectedness, or an empty node set.
+    /// endpoints, self loops, zero weights, a total weight at [`INF`],
+    /// duplicate edges, disconnectedness, or an empty node set.
     pub fn from_edges(n: usize, edges: Vec<Edge>) -> Result<WeightedGraph, GraphError> {
         if n == 0 {
             return Err(GraphError::Empty);
@@ -322,6 +337,7 @@ impl WeightedGraph {
                 std::mem::swap(&mut e.u, &mut e.v);
             }
         }
+        check_total_weight(edges.iter().map(|e| e.w))?;
         let g = WeightedGraph::assemble(n, edges);
         for v in g.nodes() {
             for w in g.neighbors(v).windows(2) {
@@ -361,10 +377,8 @@ impl WeightedGraph {
         if w == 0 {
             return Err(GraphError::ZeroWeight(ed.u, ed.v));
         }
-        let total: u128 = self.edges.iter().map(|x| u128::from(x.w)).sum();
-        if total - u128::from(ed.w) + u128::from(w) >= u128::from(INF) {
-            return Err(GraphError::TotalWeightOverflow);
-        }
+        let others = self.edges.iter().enumerate().filter(|&(i, _)| i != e.idx());
+        check_total_weight(others.map(|(_, x)| x.w).chain([w]))?;
         let mut edges = self.edges.clone();
         edges[e.idx()].w = w;
         Ok(WeightedGraph {

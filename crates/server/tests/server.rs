@@ -6,7 +6,7 @@
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use dsf_graph::{generators, NodeId, WeightedGraph};
+use dsf_graph::{generators, GraphBuilder, NodeId, WeightedGraph};
 use dsf_server::{
     AdmissionPolicy, BatchError, JobOptions, JobStatus, ServerConfig, ServerError, StreamingServer,
     DEFAULT_LARGE_NODE_THRESHOLD,
@@ -548,18 +548,21 @@ fn mismatched_instance_is_refused_at_submit() {
     server.shutdown();
 }
 
-/// Probe: `CollectAtRoot` on a 4-node path with edge weight `u64::MAX / 4`
-/// panics inside the solver (an unreachable shortest-path target). A
-/// valid request, so it reaches a lane: the panic must end only its own
-/// job, on either lane.
+/// Probe: `CollectAtRoot` on a disconnected graph (the public
+/// `build_unchecked` makes one) panics inside the solver's BFS stage. A
+/// request of the right size, so it reaches a lane: the panic must end
+/// only its own job, on either lane.
 #[test]
 fn panicking_solve_is_reported_and_the_lane_survives() {
-    let huge = Arc::new(generators::path(4, u64::MAX / 4));
-    let huge_inst = InstanceBuilder::new(&huge)
+    let mut b = GraphBuilder::new(4);
+    b.add_edge(NodeId(0), NodeId(1), 1).unwrap();
+    b.add_edge(NodeId(2), NodeId(3), 1).unwrap();
+    let split = Arc::new(b.build_unchecked());
+    let split_inst = InstanceBuilder::new(&split)
         .component(&[NodeId(0), NodeId(3)])
         .build()
         .unwrap();
-    let boom = SolveRequest::new("boom", huge, huge_inst, SolverKind::CollectAtRoot, 0);
+    let boom = SolveRequest::new("boom", split, split_inst, SolverKind::CollectAtRoot, 0);
     let (g, inst) = small_case();
     let next = request("next", &g, &inst, 4);
     let fresh = SolverSession::new().solve(&next).expect("clean solve");

@@ -126,6 +126,11 @@ pub struct DeltaOutcome {
     /// Wall-clock of the repair, report-only (never part of any
     /// deterministic comparison).
     pub wall_ns: u64,
+    /// The part of `wall_ns` spent racing the from-scratch
+    /// `greedy + local_search` candidate (and polishing it when it wins),
+    /// report-only; 0 when the delta ran no race. `wall_ns − race_ns` is
+    /// the scoped repair.
+    pub race_ns: u64,
 }
 
 /// Counters of a session's incremental activity.
@@ -203,16 +208,20 @@ fn race(
     forest: ForestSolution,
     moves: u64,
     stats: &mut DeltaStats,
+    race_ns: &mut u64,
 ) -> (ForestSolution, u64) {
+    let t0 = Instant::now();
     stats.races += 1;
     let scratch = local_search::improve(g, inst, &greedy::solve_greedy(g, inst));
-    if scratch.weight(g) < forest.weight(g) {
+    let out = if scratch.weight(g) < forest.weight(g) {
         stats.race_wins += 1;
         let (polished, extra) = repair::optimize(g, inst, &scratch, None);
         (polished, moves + extra)
     } else {
         (forest, moves)
-    }
+    };
+    *race_ns += t0.elapsed().as_nanos() as u64;
+    out
 }
 
 impl SolverSession {
@@ -323,9 +332,17 @@ impl SolverSession {
             .iter()
             .any(|(_, terms)| terms.iter().any(|t| Some(tree_of[t.idx()]) == new_tree));
         let stats = &mut self.delta_stats;
+        let mut race_ns = 0;
         if entangled {
             let (global, extra) = repair::optimize(&state.graph, &instance, &forest, None);
-            (forest, moves) = race(&state.graph, &instance, global, moves + extra, stats);
+            (forest, moves) = race(
+                &state.graph,
+                &instance,
+                global,
+                moves + extra,
+                stats,
+                &mut race_ns,
+            );
         }
         // On a near-cold session there is little cached structure to
         // ride, so attaching onto it can lock in a worse topology than a
@@ -334,7 +351,7 @@ impl SolverSession {
         // small; once enough components are cached the attach rides real
         // structure and the incremental path wins on its own.
         if !entangled && instance.k() <= SMALL_INSTANCE_RACE_K {
-            (forest, moves) = race(&state.graph, &instance, forest, moves, stats);
+            (forest, moves) = race(&state.graph, &instance, forest, moves, stats, &mut race_ns);
         }
         state.next_id += 1;
         state.demands = demands;
@@ -350,6 +367,7 @@ impl SolverSession {
                 weight,
                 moves,
                 wall_ns: t0.elapsed().as_nanos() as u64,
+                race_ns,
             },
         ))
     }
@@ -418,8 +436,9 @@ impl SolverSession {
         // whole tree with it and disturbs nobody, so the race is
         // skipped and the removal stays cheap.
         let stats = &mut self.delta_stats;
+        let mut race_ns = 0;
         if entangled {
-            (forest, moves) = race(&state.graph, &instance, forest, moves, stats);
+            (forest, moves) = race(&state.graph, &instance, forest, moves, stats, &mut race_ns);
         }
         state.instance = instance;
         let weight = forest.weight(&state.graph);
@@ -431,6 +450,7 @@ impl SolverSession {
             weight,
             moves,
             wall_ns: t0.elapsed().as_nanos() as u64,
+            race_ns,
         })
     }
 
@@ -473,6 +493,7 @@ impl SolverSession {
                 weight,
                 moves: 0,
                 wall_ns: t0.elapsed().as_nanos() as u64,
+                race_ns: 0,
             });
         }
         let old_w = state.graph.weight(e);
@@ -486,6 +507,7 @@ impl SolverSession {
                 .map_err(|_| DeltaError::WeightOverflow(e, w))?,
         );
         let stats = &mut self.delta_stats;
+        let mut race_ns = 0;
         let (forest, moves) = if went_up && !state.forest.contains(e) {
             // A chord that only got more expensive cannot enable any
             // move: every candidate's cost weakly increased while the
@@ -529,7 +551,7 @@ impl SolverSession {
                 let (forest, moves) =
                     finish(&graph, &state.instance, state.forest.clone(), &[ed.u, ed.v]);
                 if old_w < alt {
-                    race(&graph, &state.instance, forest, moves, stats)
+                    race(&graph, &state.instance, forest, moves, stats, &mut race_ns)
                 } else {
                     (forest, moves)
                 }
@@ -543,7 +565,7 @@ impl SolverSession {
                 // merges can reach topologies no repair move does.
                 let (forest, moves) =
                     repair::optimize(&graph, &state.instance, &state.forest, None);
-                race(&graph, &state.instance, forest, moves, stats)
+                race(&graph, &state.instance, forest, moves, stats, &mut race_ns)
             } else {
                 // A redundant cheaper chord leaves the metric
                 // unchanged; the only possibly-profitable new move is
@@ -567,6 +589,7 @@ impl SolverSession {
             weight,
             moves,
             wall_ns: t0.elapsed().as_nanos() as u64,
+            race_ns,
         })
     }
 
@@ -776,6 +799,22 @@ mod tests {
         let after = s.delta_stats();
         assert_eq!(after.races, before.races + 1);
         assert_eq!(after.race_wins, before.race_wins + 1);
+    }
+
+    #[test]
+    fn race_time_is_split_out_of_the_wall_clock() {
+        let g = Arc::new(generators::grid(3, 3, 5, 1));
+        let mut s = session_on(&g);
+        // The first add on a fresh session races (k = 1 is small).
+        let (_, out) = s.add_demand(&[NodeId(0), NodeId(8)]).unwrap();
+        assert_eq!(s.delta_stats().races, 1);
+        assert!(out.race_ns > 0, "the race was timed");
+        assert!(out.race_ns <= out.wall_ns, "the race is part of the delta");
+        // A no-op reweight runs no race.
+        let e = out.forest.edges()[0];
+        let noop = s.reweight_edge(e, g.weight(e)).unwrap();
+        assert_eq!(noop.race_ns, 0);
+        assert_eq!(s.delta_stats().races, 1);
     }
 
     #[test]

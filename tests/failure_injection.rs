@@ -3,7 +3,10 @@
 //! silently producing numbers — that enforcement is what makes the round
 //! counts in EXPERIMENTS.md meaningful.
 
+use std::sync::Arc;
+
 use steiner_forest::congest::{run, CongestConfig, Message, NodeCtx, Outbox, Protocol, SimError};
+use steiner_forest::graph::{Edge, GraphError};
 use steiner_forest::prelude::*;
 use steiner_forest::steiner::random_instance;
 
@@ -153,5 +156,43 @@ fn unit_weight_ties_everywhere_stay_consistent() {
         let cp: Vec<_> = central.merges.iter().map(|m| (m.v, m.w)).collect();
         assert_eq!(dp, cp, "seed {seed}");
         assert!(inst.is_feasible(&g, &det.forest));
+    }
+}
+
+/// Regression: a 4-node path with every edge at 2^61 or 2^62 used to
+/// build, and its path sums reached Dijkstra's `INF` clamp, so the far
+/// terminal looked unreachable: `randomized` and `khan` returned an empty,
+/// infeasible forest as `Ok` and `collect` panicked. Both graph
+/// constructors now refuse a total weight at `INF`; at 2^40 the graph
+/// builds and every solver is feasible.
+#[test]
+fn heavy_weights_are_refused_where_the_graph_is_built() {
+    for w in [1u64 << 61, 1 << 62] {
+        let mut b = GraphBuilder::new(4);
+        for i in 0..3 {
+            b.add_edge(NodeId(i), NodeId(i + 1), w).unwrap();
+        }
+        assert_eq!(b.build().unwrap_err(), GraphError::TotalWeightOverflow);
+        let edges: Vec<Edge> = (0..3)
+            .map(|i| Edge {
+                u: NodeId(i),
+                v: NodeId(i + 1),
+                w,
+            })
+            .collect();
+        assert_eq!(
+            WeightedGraph::from_edges(4, edges).unwrap_err(),
+            GraphError::TotalWeightOverflow
+        );
+    }
+    let g = Arc::new(generators::path(4, 1 << 40));
+    let inst = InstanceBuilder::new(&g)
+        .component(&[NodeId(0), NodeId(3)])
+        .build()
+        .unwrap();
+    for kind in SolverKind::ALL {
+        let req = SolveRequest::new("heavy", g.clone(), inst.clone(), kind, 1);
+        let out = SolverSession::new().solve(&req).expect("solves");
+        assert!(inst.is_feasible(&g, &out.forest), "{kind:?}: infeasible");
     }
 }

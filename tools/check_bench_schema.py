@@ -15,8 +15,8 @@ For each file it checks:
     BENCH_scale.json is the executor schema too);
   * `mode` is a non-empty string and `entries` a non-empty list;
   * every entry carries the tier's required fields with the right types
-    (optional fields — `speedup_milli`, `mem_peak_bytes` — are type
-    checked when present);
+    (optional fields — `speedup_milli`, `mem_peak_bytes`, churn's
+    `race_wall_ns` — are type checked when present);
   * conformance (v2) only: the per-solver `solvers` summary block has
     exactly the expected fields, its aggregates replay from the entries
     (mean/max ratio, max bound, entry and family counts), and the
@@ -32,7 +32,8 @@ Exits 1 listing every violation, 0 when all files validate.
 
 `--self-test` feeds the checker a known-good churn artifact plus
 deliberately tampered copies (missing field, wrong type, repaired
-weight above scratch, ratio past bound, unexpected field) and asserts
+weight above scratch, ratio past bound, unexpected field, optional field
+of the wrong type) and asserts
 each tamper is rejected — proof the checker can fail, mirroring
 tests/oracle_selftest.rs.
 """
@@ -116,7 +117,7 @@ TIERS = {
             "scratch_wall_ns": int,
             "speedup_milli": int,
         },
-        {},
+        {"race_wall_ns": int},
     ),
 }
 
@@ -361,6 +362,9 @@ def self_test():
         )
 
     assert run(lambda doc: None) == [], "self-test: the clean artifact must pass"
+    assert (
+        run(lambda doc: doc["entries"][0].update(race_wall_ns=3)) == []
+    ), "self-test: the optional race split must pass"
     tampered(
         "missing field",
         lambda doc: doc["entries"][0].pop("scratch_weight"),
@@ -387,6 +391,11 @@ def self_test():
         "unexpected field 'wall_ns'",
     )
     tampered(
+        "optional field of the wrong type",
+        lambda doc: doc["entries"][0].update(race_wall_ns="3"),
+        "field 'race_wall_ns' must be an integer",
+    )
+    tampered(
         "wrong schema id",
         lambda doc: doc.update(schema="dsf-bench-churn/v0"),
         "expected 'dsf-bench-churn/v1'",
@@ -396,7 +405,7 @@ def self_test():
         lambda doc: doc.update(entries=[]),
         "non-empty list",
     )
-    print("check_bench_schema: self-test passed (7 tampers rejected)")
+    print("check_bench_schema: self-test passed (8 tampers rejected)")
     return 0
 
 
