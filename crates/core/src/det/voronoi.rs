@@ -68,11 +68,10 @@ impl Protocol for VorNode {
     }
 
     /// Adopts every improvement in the inbox and announces the round's
-    /// result: each neighbor hears the last improvement, except the
-    /// neighbor that caused it, which hears the one before (if any). That
-    /// is the coalesced "latest announcement not learned from you" of a
-    /// pending slot per neighbor; no slot outlives the round, because
-    /// every announcement goes out in the round it is made.
+    /// result: each neighbor hears the latest improvement it did not
+    /// cause. That is the last one, except for the neighbor that caused
+    /// it, which hears the one before (if any); senders in one inbox are
+    /// distinct, so two improvements cover every neighbor.
     fn round(&mut self, ctx: &NodeCtx, inbox: &[(NodeId, VorMsg)], out: &mut Outbox<VorMsg>) {
         if self.status != VorStatus::Free {
             return;
