@@ -10,8 +10,8 @@
 use dsf_congest::{CongestConfig, RoundLedger, SimError};
 use dsf_core::primitives::build_bfs_tree;
 use dsf_core::randomized::selection::run_selection_stage;
-use dsf_embed::{distributed::le_lists_distributed, Embedding, EmbeddingConfig};
-use dsf_graph::{NodeId, WeightedGraph};
+use dsf_embed::{distributed::le_lists_distributed, random_ranks, Embedding, EmbeddingConfig};
+use dsf_graph::{metrics, NodeId, WeightedGraph};
 use dsf_steiner::{ForestSolution, Instance, InstanceBuilder};
 
 /// Configuration of the baseline.
@@ -79,13 +79,16 @@ pub fn solve_khan(
     }
     let bfs = build_bfs_tree(g, NodeId(0), &congest)?;
     ledger.record("BFS tree construction", &bfs.metrics);
+    // WD fixes every repetition's top level.
+    let wd = metrics::weighted_diameter(g);
 
     let mut best: Option<(ForestSolution, u64)> = None;
     for rep in 0..cfg.repetitions.max(1) {
         let seed = cfg.seed.wrapping_add(rep as u64);
-        let emb = Embedding::build(g, &EmbeddingConfig::new(seed));
-        let (_, le_metrics) = le_lists_distributed(g, &emb.ranks, &congest)?;
+        let ranks = random_ranks(g.n(), seed);
+        let (lists, le_metrics) = le_lists_distributed(g, &ranks, &congest)?;
         ledger.record(format!("rep {rep}: LE-list construction"), &le_metrics);
+        let emb = Embedding::from_lists(g, &EmbeddingConfig::new(seed), ranks, lists, wd);
 
         // Sequential per-component selection: each component pays the full
         // phase ladder on its own.

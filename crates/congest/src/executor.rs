@@ -90,11 +90,13 @@ pub enum SimError {
         /// The configured limit.
         limit: u64,
     },
-    /// Node count mismatch between graph and protocol states.
+    /// Node count mismatch: the protocol states handed to the executor,
+    /// or the instance handed to a solver session, do not cover the
+    /// graph's nodes one to one.
     WrongNodeCount {
         /// Nodes in the graph.
         expected: usize,
-        /// Protocol states supplied.
+        /// Protocol states, or instance nodes, supplied.
         got: usize,
     },
     /// The graph exceeds the compact executor's u32 arena: node ids,
@@ -132,7 +134,10 @@ impl fmt::Display for SimError {
                 write!(f, "no quiescence within {limit} rounds")
             }
             SimError::WrongNodeCount { expected, got } => {
-                write!(f, "graph has {expected} nodes but {got} states were given")
+                write!(
+                    f,
+                    "graph has {expected} nodes but {got} states or instance nodes were given"
+                )
             }
             SimError::ArenaOverflow { nodes, edges } => {
                 write!(

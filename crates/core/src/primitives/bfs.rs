@@ -80,9 +80,53 @@ pub struct BfsOutcome {
     /// Depth per node.
     pub depth: Vec<u32>,
     /// Children lists per node.
-    pub children: Vec<Vec<NodeId>>,
+    pub children: Children,
     /// Simulation metrics of the stage.
     pub metrics: RunMetrics,
+}
+
+/// The children lists of a rooted tree as one CSR array: node `v`'s
+/// children, ascending by id, are `list[start[v]..start[v + 1]]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Children {
+    start: Vec<u32>,
+    list: Vec<NodeId>,
+}
+
+impl Children {
+    /// The children lists of the tree with the given parent pointers.
+    fn from_parents(parent: &[Option<NodeId>]) -> Self {
+        let n = parent.len();
+        let mut start = vec![0u32; n + 1];
+        for p in parent.iter().flatten() {
+            start[p.idx() + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        // Fill in ascending child order, advancing each parent's cursor
+        // through its block; every cursor ends at the next block's start.
+        let mut list = vec![NodeId(0); start[n] as usize];
+        for (v, p) in parent.iter().enumerate() {
+            if let Some(p) = p {
+                list[start[p.idx()] as usize] = NodeId::from(v);
+                start[p.idx()] += 1;
+            }
+        }
+        start.copy_within(0..n, 1);
+        start[0] = 0;
+        Children { start, list }
+    }
+
+    /// `v`'s children, ascending by id.
+    pub fn of(&self, v: NodeId) -> &[NodeId] {
+        &self.list[self.start[v.idx()] as usize..self.start[v.idx() + 1] as usize]
+    }
+
+    /// Number of tree edges.
+    pub(crate) fn edges(&self) -> usize {
+        self.list.len()
+    }
 }
 
 impl BfsOutcome {
@@ -128,12 +172,7 @@ pub fn build_bfs_tree(
     );
     let parent: Vec<Option<NodeId>> = res.states.iter().map(|s| s.parent).collect();
     let depth: Vec<u32> = res.states.iter().map(|s| s.depth).collect();
-    let mut children = vec![Vec::new(); g.n()];
-    for v in g.nodes() {
-        if let Some(p) = parent[v.idx()] {
-            children[p.idx()].push(v);
-        }
-    }
+    let children = Children::from_parents(&parent);
     Ok(BfsOutcome {
         root,
         parent,
@@ -187,10 +226,13 @@ mod tests {
         let g = generators::grid(4, 5, 3, 2);
         let out = build_bfs_tree(&g, NodeId(7), &CongestConfig::for_graph(&g)).unwrap();
         for v in g.nodes() {
-            for &c in &out.children[v.idx()] {
+            let children = out.children.of(v);
+            assert!(children.windows(2).all(|w| w[0] < w[1]), "ascending");
+            for &c in children {
                 assert_eq!(out.parent[c.idx()], Some(v));
                 assert_eq!(out.depth[c.idx()], out.depth[v.idx()] + 1);
             }
         }
+        assert_eq!(out.children.edges(), g.n() - 1);
     }
 }

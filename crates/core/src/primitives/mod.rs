@@ -6,7 +6,7 @@ pub(crate) mod engine;
 mod flood;
 mod upcast;
 
-pub use bfs::{build_bfs_tree, BfsOutcome};
+pub use bfs::{build_bfs_tree, BfsOutcome, Children};
 pub(crate) use engine::Engine;
 pub(crate) use flood::flood_items_on;
 pub use flood::{flood_items, FloodItem, FloodOutcome};

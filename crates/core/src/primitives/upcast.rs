@@ -40,7 +40,7 @@ use dsf_graph::union_find::UnionFind;
 use dsf_graph::{EdgeId, NodeId, WeightedGraph};
 
 use super::arena::Carve;
-use super::Engine;
+use super::{Children, Engine};
 
 /// A candidate merge: an edge `{a, b}` of the candidate multigraph with
 /// its merge time `mu`, induced by graph edge `edge`.
@@ -347,7 +347,8 @@ pub struct UpcastOutcome {
 
 /// Runs the filtered upcast.
 ///
-/// * `tree`: `(parent, children)` of a BFS tree (root has `parent=None`);
+/// * `parent`, `children`: a BFS tree (root has `parent=None`), its
+///   children lists ascending by id in one CSR array;
 /// * `local`: per-node candidate sets;
 /// * `prior`: component representative per terminal index (the connectivity
 ///   of `(T, F'_c)` from previous phases — Lemma 4.14's tagging);
@@ -359,7 +360,7 @@ pub struct UpcastOutcome {
 pub fn filtered_upcast(
     g: &WeightedGraph,
     parent: &[Option<NodeId>],
-    children: &[Vec<NodeId>],
+    children: &Children,
     local: Vec<Vec<UpcastCandidate>>,
     prior: &[u32],
     mode: UpcastMode<'_>,
@@ -373,7 +374,7 @@ pub fn filtered_upcast(
 pub(crate) fn filtered_upcast_on(
     engine: Engine,
     g: &WeightedGraph,
-    (parent, children): (&[Option<NodeId>], &[Vec<NodeId>]),
+    (parent, children): (&[Option<NodeId>], &Children),
     local: Vec<Vec<UpcastCandidate>>,
     prior: &[u32],
     mode: UpcastMode<'_>,
@@ -384,7 +385,7 @@ pub(crate) fn filtered_upcast_on(
         .nodes()
         .find(|v| parent[v.idx()].is_none())
         .expect("tree has a root");
-    let mut streams = vec![ChildStream::Silent; children.iter().map(Vec::len).sum()];
+    let mut streams = vec![ChildStream::Silent; children.edges()];
     let mut carve = Carve::new(&mut streams);
     let mut mode_slot = Some(mode);
     let nodes: Vec<UpcastNode> = g
@@ -392,8 +393,8 @@ pub(crate) fn filtered_upcast_on(
         .zip(local)
         .map(|(v, cands)| UpcastNode {
             parent: parent[v.idx()],
-            children: &children[v.idx()],
-            streams: carve.take(children[v.idx()].len()),
+            children: children.of(v),
+            streams: carve.take(children.of(v).len()),
             pending: cands.into_iter().map(Reverse).collect::<Vec<_>>().into(),
             uf: None,
             prior,
@@ -440,7 +441,7 @@ mod tests {
             });
         }
         let prior: Vec<u32> = (0..12).map(|i| if i == 11 { 10 } else { i }).collect();
-        let tree = (&bfs.parent[..], &bfs.children[..]);
+        let tree = (&bfs.parent[..], &bfs.children);
         filtered_upcast_on(engine, g, tree, local, &prior, mode, &cfg).unwrap()
     }
 

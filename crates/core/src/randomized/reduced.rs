@@ -18,7 +18,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use dsf_congest::{CongestConfig, RoundLedger, SimError};
+use dsf_congest::{RoundLedger, SimError};
 use dsf_embed::Embedding;
 use dsf_graph::union_find::UnionFind;
 use dsf_graph::{EdgeId, GraphBuilder, NodeId, WeightedGraph};
@@ -68,7 +68,8 @@ fn cluster_assignment(
 }
 
 /// Builds and solves the `F`-reduced instance; returns the inducing edge
-/// set `F'` in the original graph.
+/// set `F'` in the original graph. `diameter` is the hop diameter `D` of
+/// `g`, which the stage's charged bounds include.
 ///
 /// # Errors
 ///
@@ -79,7 +80,7 @@ pub fn solve_reduced(
     minimal: &Instance,
     stage1: &ForestSolution,
     emb: &Embedding,
-    _cfg: &CongestConfig,
+    diameter: u32,
     ledger: &mut RoundLedger,
 ) -> Result<ForestSolution, SimError> {
     let n = g.n();
@@ -87,7 +88,7 @@ pub fn solve_reduced(
     assert!(!s_set.is_empty(), "reduced stage requires a truncation");
     let sqrt_n = (n as f64).sqrt().ceil() as u64;
     let log_n = (n.max(2) as f64).log2().ceil() as u64;
-    let diameter = dsf_graph::metrics::unweighted_diameter(g) as u64;
+    let diameter = u64::from(diameter);
 
     // Corollary G.11: cluster terminals around S inside (V, F).
     let hop_cap = (2 * sqrt_n * log_n) as usize;
@@ -212,6 +213,7 @@ pub fn solve_reduced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsf_congest::CongestConfig;
     use dsf_embed::EmbeddingConfig;
     use dsf_graph::generators;
     use dsf_steiner::random_instance;
@@ -260,7 +262,9 @@ mod tests {
                 crate::randomized::selection::run_selection_stage(&g, &emb, &minimal, &bfs, &cfg)
                     .unwrap();
             let mut ledger = RoundLedger::new();
-            let second = solve_reduced(&g, &minimal, &sel.forest, &emb, &cfg, &mut ledger).unwrap();
+            let diameter = dsf_graph::metrics::unweighted_diameter(&g);
+            let second =
+                solve_reduced(&g, &minimal, &sel.forest, &emb, diameter, &mut ledger).unwrap();
             let union = sel.forest.union(&second);
             assert!(inst.is_feasible(&g, &union), "seed {seed}");
             assert!(ledger.charged() > 0);

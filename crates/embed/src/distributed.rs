@@ -151,8 +151,10 @@ impl Protocol for LeProtocol {
     }
 }
 
-/// Runs the LE protocol on `g` with the given ranks; returns the lists and
-/// the run metrics (the simulated construction cost).
+/// Runs the LE protocol on `g` with the given ranks; returns the lists
+/// (moved out of the node states) and the run metrics (the simulated
+/// construction cost). [`crate::Embedding::from_lists`] builds the virtual
+/// tree from these lists.
 ///
 /// # Errors
 ///
@@ -169,7 +171,7 @@ pub fn le_lists_distributed(
         .collect();
     let res = run(g, nodes, cfg)?;
     Ok((
-        res.states.into_iter().map(|p| p.list.clone()).collect(),
+        res.states.into_iter().map(|p| p.list).collect(),
         res.metrics,
     ))
 }

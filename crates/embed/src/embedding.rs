@@ -1,13 +1,14 @@
 //! The virtual tree: ancestor chains, physical routing tables, tree metric,
 //! tree-optimal forests, and the `S`-truncation of Section 5.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use dsf_graph::dijkstra::{self, ShortestPaths};
-use dsf_graph::{metrics, NodeId, Weight, WeightedGraph, INF};
+use dsf_congest::CongestConfig;
+use dsf_graph::{dijkstra, metrics, NodeId, Weight, WeightedGraph};
 use dsf_steiner::Instance;
 
-use crate::le_list::{le_lists, LeList};
+use crate::distributed::le_lists_distributed;
+use crate::le_list::LeList;
 use crate::{random_ranks, Beta};
 
 /// Configuration of an embedding.
@@ -33,7 +34,7 @@ impl EmbeddingConfig {
 /// Truncation data for one node (Section 5, Step 1): the node's ancestor
 /// chain is cut at the first ancestor mapped to `S`; the node instead
 /// learns its closest `S`-member.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TruncatedChain {
     /// Chain prefix levels that survive (ancestors not in `S`);
     /// `prefix_len == iv` in the paper's notation.
@@ -59,9 +60,16 @@ pub struct Embedding {
     pub lists: Vec<LeList>,
     /// `chains[v][i]` = the level-`i` ancestor (recentered chain).
     pub chains: Vec<Vec<NodeId>>,
-    route: Vec<HashMap<NodeId, NodeId>>,
-    path_dests: Vec<HashSet<NodeId>>,
-    dist_to_center: HashMap<NodeId, ShortestPaths>,
+    /// Installed routes as one CSR array: node `x`'s `(destination, next
+    /// hop)` pairs are `routes[route_start[x]..route_start[x + 1]]`,
+    /// sorted by destination.
+    route_start: Vec<usize>,
+    routes: Vec<(NodeId, NodeId)>,
+    /// `chain_hops[v·(top_level + 1) + i]`: hop length of the installed
+    /// path from `v` to `chains[v][i]`.
+    chain_hops: Vec<u32>,
+    /// Every distinct center, sorted.
+    centers: Vec<NodeId>,
     /// `S`-truncation data (present iff configured).
     pub truncation: Option<Vec<TruncatedChain>>,
     /// The set `S` (highest-rank nodes), sorted by id; empty when not
@@ -70,23 +78,59 @@ pub struct Embedding {
 }
 
 impl Embedding {
-    /// Builds the embedding on `g`. Centralized computation of the object
-    /// the distributed construction of \[14\] produces; the distributed cost
-    /// is measured separately by [`crate::distributed`].
+    /// Builds the embedding on `g` from scratch: ranks from `cfg.seed`,
+    /// LE lists from the simulated CONGEST protocol
+    /// ([`le_lists_distributed`] at [`CongestConfig::for_graph`]), and the
+    /// weighted diameter from an all-pairs sweep, handed to
+    /// [`Embedding::from_lists`]. The solvers call `from_lists` directly
+    /// with the lists their own protocol run produced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph is disconnected.
     pub fn build(g: &WeightedGraph, cfg: &EmbeddingConfig) -> Self {
-        let n = g.n();
-        let ranks = random_ranks(n, cfg.seed);
-        let beta = Beta::sample(cfg.seed);
-        let lists = le_lists(g, &ranks);
+        let ranks = random_ranks(g.n(), cfg.seed);
+        let (lists, _) = le_lists_distributed(g, &ranks, &CongestConfig::for_graph(g))
+            .expect("the default configuration fits an LE entry");
         let wd = metrics::weighted_diameter(g);
+        Self::from_lists(g, cfg, ranks, lists, wd)
+    }
+
+    /// Builds the embedding from the LE `lists` of `ranks` (as the
+    /// protocol of [`crate::distributed`] computes them), where `wd` is the
+    /// weighted diameter of `g` and fixes the top level.
+    ///
+    /// Chains are read off the lists. Routes follow the tie-broken shortest
+    /// path from each node to each of its ancestors: per distinct center
+    /// `c`, one [`dijkstra::multi_source_to`] search from `c` that stops
+    /// once every node whose chain names `c` is settled. Settled entries
+    /// and their whole paths equal those of a full search (see the
+    /// `dijkstra` module docs), so every route is the full search's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ranks` or `lists` do not have one entry per node, or if
+    /// the graph is disconnected.
+    pub fn from_lists(
+        g: &WeightedGraph,
+        cfg: &EmbeddingConfig,
+        ranks: Vec<u32>,
+        lists: Vec<LeList>,
+        wd: Weight,
+    ) -> Self {
+        let n = g.n();
+        assert_eq!(ranks.len(), n, "one rank per node");
+        assert_eq!(lists.len(), n, "one LE list per node");
+        let beta = Beta::sample(cfg.seed);
         let mut top_level = 0u32;
         while !beta.ball_contains(wd, top_level) {
             top_level += 1;
         }
+        let levels = top_level as usize + 1;
 
         // Recentered ancestor chains: c_0(v) = max rank in B(v, β);
         // c_{i+1} = max rank in B(c_i, β·2^{i+1}).
-        let mut chains: Vec<Vec<NodeId>> = vec![Vec::with_capacity(top_level as usize + 1); n];
+        let mut chains: Vec<Vec<NodeId>> = vec![Vec::with_capacity(levels); n];
         for v in g.nodes() {
             let mut cur = lists[v.idx()]
                 .ancestor_within(|d| beta.ball_contains(d, 0))
@@ -102,42 +146,57 @@ impl Embedding {
             }
         }
 
-        // Distinct centers per level; paths are drawn from the Dijkstra
-        // tree rooted at each destination center so that "the union of all
-        // least-weight paths ending at a specific node induces a tree"
-        // (paper, Main Techniques).
-        let mut centers: HashSet<NodeId> = HashSet::new();
-        for v in g.nodes() {
-            centers.extend(chains[v.idx()].iter().copied());
-        }
-        let mut dist_to_center: HashMap<NodeId, ShortestPaths> = HashMap::new();
-        for &c in &centers {
-            dist_to_center.insert(c, dijkstra::shortest_paths(g, c));
-        }
-
-        let mut route: Vec<HashMap<NodeId, NodeId>> = vec![HashMap::new(); n];
-        let mut path_dests: Vec<HashSet<NodeId>> = vec![HashSet::new(); n];
-        let mut install_path = |src: NodeId, dest: NodeId| {
-            let sp = &dist_to_center[&dest];
-            let mut cur = src;
-            loop {
-                path_dests[cur.idx()].insert(dest);
-                if cur == dest {
-                    break;
-                }
-                let (next, _) = sp.parent[cur.idx()].expect("graph is connected");
-                route[cur.idx()].insert(dest, next);
-                cur = next;
-            }
-        };
         // The paper embeds "via a shortest path from each node v to each of
-        // its L+1 ancestors": install v -> chains[v][i] for every level
-        // (deduplicated by the route map itself).
-        for v in g.nodes() {
-            for i in 0..=top_level as usize {
-                install_path(v, chains[v.idx()][i]);
+        // its L+1 ancestors", drawn from the Dijkstra tree rooted at the
+        // ancestor, so that "the union of all least-weight paths ending at
+        // a specific node induces a tree" (Main Techniques). Group the
+        // (center, node) pairs by center and search from each center only
+        // as far as the nodes that name it.
+        let mut named: Vec<(NodeId, NodeId)> = g
+            .nodes()
+            .flat_map(|v| chains[v.idx()].iter().map(move |&c| (c, v)))
+            .collect();
+        named.sort_unstable();
+        named.dedup();
+        let mut centers = Vec::new();
+        let mut chain_hops = vec![0u32; n * levels];
+        // (node, center, next hop), one per node on a path to the center.
+        let mut installed: Vec<(NodeId, NodeId, NodeId)> = Vec::new();
+        // Per node, the last center whose tree already passes through it.
+        let mut on_tree = vec![usize::MAX; n];
+        let mut targets = Vec::new();
+        for group in named.chunk_by(|a, b| a.0 == b.0) {
+            let c = group[0].0;
+            targets.clear();
+            targets.extend(group.iter().map(|&(_, v)| v));
+            let sp = dijkstra::multi_source_to(g, &[c], &targets, |e| g.weight(e));
+            let ci = centers.len();
+            centers.push(c);
+            for &v in &targets {
+                for (i, &at) in chains[v.idx()].iter().enumerate() {
+                    if at == c {
+                        chain_hops[v.idx() * levels + i] = sp.hops[v.idx()];
+                    }
+                }
+                // Walk v's path until it joins c's tree installed so far.
+                let mut cur = v;
+                while cur != c && on_tree[cur.idx()] != ci {
+                    on_tree[cur.idx()] = ci;
+                    let (next, _) = sp.parent[cur.idx()].expect("graph is connected");
+                    installed.push((cur, c, next));
+                    cur = next;
+                }
             }
         }
+        installed.sort_unstable();
+        let mut route_start = vec![0usize; n + 1];
+        for &(x, _, _) in &installed {
+            route_start[x.idx() + 1] += 1;
+        }
+        for x in 0..n {
+            route_start[x + 1] += route_start[x];
+        }
+        let routes = installed.iter().map(|&(_, c, next)| (c, next)).collect();
 
         // S-truncation (Section 5 Step 1): S = the `size` highest-rank
         // nodes; chains are cut at the first S-ancestor.
@@ -149,7 +208,6 @@ impl Embedding {
                 by_rank.sort_by_key(|v| std::cmp::Reverse(ranks[v.idx()]));
                 let mut s: Vec<NodeId> = by_rank[..size].to_vec();
                 s.sort_unstable();
-                let in_s: HashSet<NodeId> = s.iter().copied().collect();
                 // Closest S member per node, with consistent tie-breaking.
                 let msp = dijkstra::multi_source(g, &s);
                 let owner = dijkstra::voronoi_owner(&msp, &s);
@@ -157,7 +215,7 @@ impl Embedding {
                 for v in g.nodes() {
                     let prefix_len = chains[v.idx()]
                         .iter()
-                        .position(|c| in_s.contains(c))
+                        .position(|c| s.binary_search(c).is_ok())
                         .unwrap_or(chains[v.idx()].len());
                     trunc.push(TruncatedChain {
                         prefix_len,
@@ -176,38 +234,46 @@ impl Embedding {
             top_level,
             lists,
             chains,
-            route,
-            path_dests,
-            dist_to_center,
+            route_start,
+            routes,
+            chain_hops,
+            centers,
             truncation,
             s_set,
         }
     }
 
+    /// `x`'s installed `(destination, next hop)` pairs, sorted by
+    /// destination.
+    fn routes_at(&self, x: NodeId) -> &[(NodeId, NodeId)] {
+        &self.routes[self.route_start[x.idx()]..self.route_start[x.idx() + 1]]
+    }
+
     /// Next hop at `x` towards destination center `dest`, if `x` is on an
     /// installed path.
     pub fn next_hop(&self, x: NodeId, dest: NodeId) -> Option<NodeId> {
-        self.route[x.idx()].get(&dest).copied()
+        let row = self.routes_at(x);
+        row.binary_search_by_key(&dest, |&(c, _)| c)
+            .ok()
+            .map(|i| row[i].1)
     }
 
     /// Number of distinct path destinations traversing `x`
-    /// (Lemma G.1: `O(log n)` w.h.p.; experiment E6).
+    /// (Lemma G.1: `O(log n)` w.h.p.; experiment E6): its route entries,
+    /// plus one if `x` is a center itself.
     pub fn path_count(&self, x: NodeId) -> usize {
-        self.path_dests[x.idx()].len()
+        self.routes_at(x).len() + usize::from(self.centers.binary_search(&x).is_ok())
     }
 
-    /// Weighted distance from `x` to a center (`None` if the center is
-    /// unknown to the embedding).
-    pub fn dist_to(&self, x: NodeId, center: NodeId) -> Option<Weight> {
-        self.dist_to_center
-            .get(&center)
-            .map(|sp| sp.dist[x.idx()])
-            .filter(|&d| d < INF)
-    }
-
-    /// Hop length of the installed path from `x` to `center`.
+    /// Hop length of the installed path from `x` to `center`. Answers only
+    /// for the centers on `x`'s own chain (the only paths installed from
+    /// `x`); `None` for any other node.
     pub fn hops_to(&self, x: NodeId, center: NodeId) -> Option<u32> {
-        self.dist_to_center.get(&center).map(|sp| sp.hops[x.idx()])
+        let levels = self.top_level as usize + 1;
+        self.chains[x.idx()]
+            .iter()
+            .position(|&c| c == center)
+            .map(|i| self.chain_hops[x.idx() * levels + i])
     }
 
     /// Tree-metric distance between two leaves: both chains are walked to
@@ -258,17 +324,19 @@ impl Embedding {
         total
     }
 
-    /// All distinct centers (internal virtual nodes).
-    pub fn centers(&self) -> Vec<NodeId> {
-        let mut cs: Vec<NodeId> = self.dist_to_center.keys().copied().collect();
-        cs.sort_unstable();
-        cs
+    /// All distinct centers (internal virtual nodes), sorted.
+    pub fn centers(&self) -> &[NodeId] {
+        &self.centers
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
+    use crate::le_list::le_lists;
+    use dsf_graph::dijkstra::ShortestPaths;
     use dsf_graph::generators;
     use dsf_steiner::InstanceBuilder;
 
@@ -389,7 +457,7 @@ mod tests {
         let emb = Embedding::build(&g, &cfg);
         let trunc = emb.truncation.as_ref().unwrap();
         assert_eq!(emb.s_set.len(), 6);
-        let in_s: std::collections::HashSet<_> = emb.s_set.iter().copied().collect();
+        let in_s: HashSet<_> = emb.s_set.iter().copied().collect();
         for v in g.nodes() {
             let t = &trunc[v.idx()];
             // Prefix ancestors are outside S; the cut ancestor (if any) is in S.
@@ -414,5 +482,117 @@ mod tests {
         let b = Embedding::build(&g, &EmbeddingConfig::new(42));
         assert_eq!(a.chains, b.chains);
         assert_eq!(a.ranks, b.ranks);
+    }
+
+    /// Routes built with one full search per center, installed into
+    /// per-node maps: the construction the targeted searches replace.
+    struct FullRoutes {
+        route: Vec<HashMap<NodeId, NodeId>>,
+        path_dests: Vec<HashSet<NodeId>>,
+        from_center: HashMap<NodeId, ShortestPaths>,
+    }
+
+    fn full_routes(g: &WeightedGraph, chains: &[Vec<NodeId>]) -> FullRoutes {
+        let mut from_center = HashMap::new();
+        for &c in chains.iter().flatten() {
+            from_center
+                .entry(c)
+                .or_insert_with(|| dijkstra::shortest_paths(g, c));
+        }
+        let mut route = vec![HashMap::new(); g.n()];
+        let mut path_dests = vec![HashSet::new(); g.n()];
+        for v in g.nodes() {
+            for &c in &chains[v.idx()] {
+                let sp: &ShortestPaths = &from_center[&c];
+                let mut cur = v;
+                loop {
+                    path_dests[cur.idx()].insert(c);
+                    if cur == c {
+                        break;
+                    }
+                    let (next, _) = sp.parent[cur.idx()].unwrap();
+                    route[cur.idx()].insert(c, next);
+                    cur = next;
+                }
+            }
+        }
+        FullRoutes {
+            route,
+            path_dests,
+            from_center,
+        }
+    }
+
+    #[test]
+    fn protocol_lists_and_targeted_routes_match_the_full_construction() {
+        let mut graphs = Vec::new();
+        for seed in 0..2 {
+            graphs.push(("gnp", generators::gnp_connected(40, 0.1, 16, seed)));
+            graphs.push(("grid", generators::grid(6, 7, 9, seed)));
+            graphs.push(("rmat", generators::rmat(48, 3, 20, seed)));
+            graphs.push(("geometric", generators::random_geometric(40, 0.3, seed)));
+        }
+        for (i, (family, g)) in graphs.iter().enumerate() {
+            let n = g.n();
+            let wd = metrics::weighted_diameter(g);
+            let sqrt_n = (n as f64).sqrt().ceil() as usize;
+            for truncate in [None, Some(sqrt_n)] {
+                let seed = 7 + i as u64;
+                let cfg = EmbeddingConfig { seed, truncate };
+                let case = format!("{family} #{i}, truncate {truncate:?}");
+                let ranks = random_ranks(n, seed);
+                let (lists, _) =
+                    le_lists_distributed(g, &ranks, &CongestConfig::for_graph(g)).unwrap();
+                let central = le_lists(g, &ranks);
+                let emb = Embedding::from_lists(g, &cfg, ranks.clone(), lists, wd);
+                let oracle = Embedding::from_lists(g, &cfg, ranks, central, wd);
+                assert_eq!(emb.chains, oracle.chains, "{case}: chains");
+                assert_eq!(emb.s_set, oracle.s_set, "{case}: S");
+                assert_eq!(emb.truncation, oracle.truncation, "{case}: truncation");
+                assert_eq!(
+                    Embedding::build(g, &cfg).chains,
+                    emb.chains,
+                    "{case}: build"
+                );
+
+                let full = full_routes(g, &emb.chains);
+                let mut centers: Vec<NodeId> = full.from_center.keys().copied().collect();
+                centers.sort_unstable();
+                assert_eq!(emb.centers(), &centers[..], "{case}: centers");
+                for x in g.nodes() {
+                    for &c in &centers {
+                        assert_eq!(
+                            emb.next_hop(x, c),
+                            full.route[x.idx()].get(&c).copied(),
+                            "{case}: next hop at {x} towards {c}"
+                        );
+                    }
+                    assert_eq!(
+                        emb.path_count(x),
+                        full.path_dests[x.idx()].len(),
+                        "{case}: path count at {x}"
+                    );
+                    for &c in &emb.chains[x.idx()] {
+                        assert_eq!(
+                            emb.hops_to(x, c),
+                            Some(full.from_center[&c].hops[x.idx()]),
+                            "{case}: hops from {x} to {c}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hops_to_answers_only_on_the_chain() {
+        let (g, emb) = build(30, 4);
+        for v in g.nodes() {
+            for c in g.nodes() {
+                if !emb.chains[v.idx()].contains(&c) {
+                    assert_eq!(emb.hops_to(v, c), None);
+                }
+            }
+        }
     }
 }

@@ -17,12 +17,17 @@
 //!
 //! Provided here:
 //!
-//! * [`LeList`] computation, centralized ([`le_lists`]) and as a CONGEST
-//!   protocol ([`distributed::LeProtocol`]) with pipelined Bellman–Ford
-//!   propagation — the dominant cost of \[14\]'s `Õ(s)` construction;
-//! * [`Embedding`] — ancestor chains, per-node routing tables
-//!   (`destination → next hop`), tree metric, optimal forest on the tree,
-//!   and the `S`-truncation of Section 5 (`s > √n` regime);
+//! * [`LeList`] computation as a CONGEST protocol
+//!   ([`distributed::LeProtocol`]) with pipelined Bellman–Ford
+//!   propagation — the dominant cost of \[14\]'s `Õ(s)` construction —
+//!   and centralized ([`le_lists`], one Dijkstra per node), which is the
+//!   protocol's test oracle and experiment E6's reference;
+//! * [`Embedding`] — built from the protocol's lists
+//!   ([`Embedding::from_lists`], which the solvers call with the lists of
+//!   their own protocol run): ancestor chains, per-node routing tables
+//!   (`destination → next hop`, one flat array), tree metric, optimal
+//!   forest on the tree, and the `S`-truncation of Section 5 (`s > √n`
+//!   regime);
 //! * per-node path-congestion statistics (Lemma G.1's `O(log n)` distinct
 //!   paths per node — experiment E6).
 //!

@@ -113,8 +113,9 @@ impl SolverSession {
     ///
     /// # Errors
     ///
-    /// Propagates any [`SimError`] the solver raises (model violations
-    /// indicate solver bugs, not user errors).
+    /// [`SimError::WrongNodeCount`] if the instance does not fit the
+    /// graph; otherwise any [`SimError`] the solver raises (model
+    /// violations indicate solver bugs, not user errors).
     pub fn solve(&mut self, req: &SolveRequest) -> Result<JobOutcome, SimError> {
         self.solve_with_threads(req, 1)
     }
@@ -127,12 +128,20 @@ impl SolverSession {
     ///
     /// # Errors
     ///
-    /// Propagates any [`SimError`] the solver raises.
+    /// [`SimError::WrongNodeCount`] if the instance and the graph differ
+    /// in node count (no solver runs); otherwise any [`SimError`] the
+    /// solver raises.
     pub fn solve_with_threads(
         &mut self,
         req: &SolveRequest,
         threads: usize,
     ) -> Result<JobOutcome, SimError> {
+        if req.instance.n() != req.graph.n() {
+            return Err(SimError::WrongNodeCount {
+                expected: req.graph.n(),
+                got: req.instance.n(),
+            });
+        }
         let t0 = Instant::now();
         let (forest, ledger) = with_threads(threads, || self.pool.scope(|| dispatch(req)))?;
         let wall_ns = t0.elapsed().as_nanos() as u64;

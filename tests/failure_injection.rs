@@ -196,3 +196,32 @@ fn heavy_weights_are_refused_where_the_graph_is_built() {
         assert!(inst.is_feasible(&g, &out.forest), "{kind:?}: infeasible");
     }
 }
+
+/// Regression: an instance built on a graph of another size used to panic
+/// every session solver (in det's driver, the embedding, khan and
+/// Dijkstra for a smaller graph; in `Instance` for a larger one). The
+/// session now refuses the request with a typed error before any solver
+/// runs.
+#[test]
+fn a_session_refuses_an_instance_of_another_size() {
+    let ten = Arc::new(generators::gnp_connected(10, 0.4, 9, 3));
+    let six = Arc::new(generators::gnp_connected(6, 0.5, 9, 4));
+    let on_ten = random_instance(&ten, 2, 2, 5);
+    let on_six = random_instance(&six, 2, 2, 6);
+    for (graph, inst) in [(&six, &on_ten), (&ten, &on_six)] {
+        for kind in SolverKind::ALL {
+            let req = SolveRequest::new("mismatch", graph.clone(), inst.clone(), kind, 1);
+            let err = SolverSession::new()
+                .solve(&req)
+                .expect_err("an instance of another size is refused");
+            assert_eq!(
+                err,
+                SimError::WrongNodeCount {
+                    expected: graph.n(),
+                    got: inst.n(),
+                },
+                "{kind:?}"
+            );
+        }
+    }
+}
