@@ -1,5 +1,5 @@
 //! Criterion wall-clock benches over the same workloads as the experiment
-//! tables (one group per table/figure family; see EXPERIMENTS.md).
+//! tables of `paper_tables` (one group per table/figure family).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

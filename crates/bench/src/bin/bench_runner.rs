@@ -5,7 +5,6 @@
 //! bench_runner --scale [--quick] [--out PATH]              # scale mode
 //! bench_runner --scale-xl [--quick] [--out PATH]           # scale-xl mode
 //! bench_runner --conformance [--quick] [--out PATH]        # conformance mode
-//! bench_runner --server [--quick] [--out PATH]             # server mode
 //! bench_runner --churn [--quick] [--out PATH]              # churn mode
 //! ```
 //!
@@ -39,14 +38,6 @@
 //! non-zero when any solver violates feasibility, determinism, the
 //! certified ratio bounds, or the CONGEST bandwidth budget.
 //!
-//! **Server mode** (`--server`) benchmarks the streaming server
-//! (`dsf-server`) under open-loop load at offered rates ×{0.5, 1, 2} of
-//! measured capacity, writing `BENCH_server.json` (solves/sec plus
-//! p50/p99 sojourn latency). In-harness gates: admission-control probes
-//! (saturation rejects, cancellations and expired deadlines reported)
-//! and per-job bit-identity to direct solves. No baseline (`--check` is
-//! rejected).
-//!
 //! Every mode prints the effective worker-thread count in its header, so
 //! a malformed `DSF_THREADS` cannot silently run a gate single-threaded —
 //! and, next to it, the process-wide work-stealing observability totals
@@ -72,14 +63,12 @@ use std::process::ExitCode;
 use dsf_bench::churn;
 use dsf_bench::conformance;
 use dsf_bench::perf::{self, BenchReport};
-use dsf_bench::server;
 
 const USAGE: &str = "\
 usage: bench_runner [--quick] [--out PATH] [--check BASELINE]
        bench_runner --scale [--quick] [--out PATH]
        bench_runner --scale-xl [--quick] [--out PATH]
        bench_runner --conformance [--quick] [--out PATH]
-       bench_runner --server [--quick] [--out PATH]
        bench_runner --churn [--quick] [--out PATH]
 
   --quick        CI smoke sizes (quick corpus tier in conformance mode,
@@ -97,9 +86,6 @@ usage: bench_runner [--quick] [--out PATH] [--check BASELINE]
                  in-harness bytes-per-node budget assert)
   --conformance  run the corpus conformance sweep instead of the executor
                  benchmarks
-  --server       run the streaming-server tier (open-loop load at x0.5/x1/x2
-                 of measured capacity, p50/p99 latency, with in-harness
-                 admission-control and bit-identity asserts)
   --churn        run the incremental re-solve tier (delta repairs replayed
                  over seeded churn traces, with in-harness repair-quality,
                  thread-count bit-identity, and majority-2x-speedup gates)";
@@ -109,7 +95,6 @@ struct Args {
     scale: bool,
     scale_xl: bool,
     conformance: bool,
-    server: bool,
     churn: bool,
     out: Option<String>,
     check: Option<String>,
@@ -126,7 +111,6 @@ fn parse(raw: &[String]) -> Result<Args, String> {
         scale: false,
         scale_xl: false,
         conformance: false,
-        server: false,
         churn: false,
         out: None,
         check: None,
@@ -146,31 +130,22 @@ fn parse(raw: &[String]) -> Result<Args, String> {
             "--scale" => args.scale = true,
             "--scale-xl" => args.scale_xl = true,
             "--conformance" => args.conformance = true,
-            "--server" => args.server = true,
             "--churn" => args.churn = true,
             "--out" => args.out = Some(path_value("--out", it.next())?),
             "--check" => args.check = Some(path_value("--check", it.next())?),
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    if (args.conformance || args.scale || args.scale_xl || args.server || args.churn)
-        && args.check.is_some()
-    {
+    if (args.conformance || args.scale || args.scale_xl || args.churn) && args.check.is_some() {
         return Err("--check applies to executor mode only".into());
     }
-    if [
-        args.conformance,
-        args.scale,
-        args.scale_xl,
-        args.server,
-        args.churn,
-    ]
-    .iter()
-    .filter(|&&m| m)
-    .count()
+    if [args.conformance, args.scale, args.scale_xl, args.churn]
+        .iter()
+        .filter(|&&m| m)
+        .count()
         > 1
     {
-        return Err("--scale, --scale-xl, --conformance, --server, and --churn \
+        return Err("--scale, --scale-xl, --conformance, and --churn \
              are mutually exclusive"
             .into());
     }
@@ -185,8 +160,6 @@ fn main() -> ExitCode {
     };
     if args.conformance {
         run_conformance(&args)
-    } else if args.server {
-        run_server(&args)
     } else if args.churn {
         run_churn(&args)
     } else {
@@ -218,56 +191,6 @@ fn sched_obs_header() -> String {
          {} chunks stolen, {} idle waits",
         o.sharded_runs, o.worker_rounds, o.slots_processed, o.chunks_stolen, o.idle_waits,
     )
-}
-
-fn run_server(args: &Args) -> ExitCode {
-    let out_path = args
-        .out
-        .clone()
-        .unwrap_or_else(|| "BENCH_server.json".into());
-    // collect() panics (non-zero exit) if an admission-control probe or a
-    // bit-identity assert fails — those are this mode's gate.
-    let report = server::collect(args.quick);
-    if let Err(e) = std::fs::write(&out_path, report.to_json()) {
-        eprintln!("cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-
-    println!(
-        "# bench_runner --server ({} mode) -> {out_path}\n# {}\n# {}\n",
-        report.mode,
-        threads_header(),
-        sched_obs_header()
-    );
-    println!(
-        "{:<24} {:>5} {:>3} {:>5} {:>6} {:>9} {:>11} {:>11} {:>11} {:>10}",
-        "workload", "jobs", "w", "cap", "rate", "rounds", "messages", "p50", "p99", "solves/s"
-    );
-    for e in &report.entries {
-        let rate = if e.rate_milli_x == 0 {
-            "closed".to_string()
-        } else {
-            format!("x{:.1}", e.rate_milli_x as f64 / 1000.0)
-        };
-        println!(
-            "{:<24} {:>5} {:>3} {:>5} {:>6} {:>9} {:>11} {:>8.3} ms {:>8.3} ms {:>10.3}",
-            e.name,
-            e.jobs,
-            e.workers,
-            e.queue_capacity,
-            rate,
-            e.rounds,
-            e.messages,
-            e.p50_ns as f64 / 1e6,
-            e.p99_ns as f64 / 1e6,
-            e.solves_per_sec_milli as f64 / 1000.0,
-        );
-    }
-    println!(
-        "\nserver gate: admission probes passed (saturation rejects, cancel/deadline reported) \
-         and every job bit-identical to its direct solve"
-    );
-    ExitCode::SUCCESS
 }
 
 fn run_churn(args: &Args) -> ExitCode {

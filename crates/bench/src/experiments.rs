@@ -1,5 +1,6 @@
-//! Experiments E1–E13 (DESIGN.md §4): each regenerates the quantitative
-//! content of one of the paper's claims.
+//! Experiments E1–E13: each regenerates the quantitative content of one
+//! of the paper's claims (`docs/PAPER_MAP.md` names the experiment that
+//! backs each paper item).
 
 use dsf_baselines::khan::{solve_khan, KhanConfig};
 use dsf_baselines::solve_collect_at_root;

@@ -8,9 +8,8 @@
 //! measurements. `bench_runner` emits the JSON trajectories CI gates on:
 //! [`perf`] (`dsf-bench-executor/v3`, executor and solver metrics),
 //! [`conformance`] (`dsf-bench-conformance/v1`, per-family ratio
-//! distribution), [`server`] (`dsf-bench-server/v1`, streaming-server
-//! latency under open-loop load), and [`churn`] (`dsf-bench-churn/v1`,
-//! delta-repair speedup over from-scratch solves on churn traces).
+//! distribution), and [`churn`] (`dsf-bench-churn/v1`, delta-repair
+//! speedup over from-scratch solves on churn traces).
 //!
 //! # Invariants
 //!
@@ -39,7 +38,6 @@ pub mod churn;
 pub mod conformance;
 pub mod experiments;
 pub mod perf;
-pub mod server;
 
 pub use table::Table;
 

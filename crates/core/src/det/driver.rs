@@ -1,39 +1,20 @@
-//! Phase-loop driver of the deterministic algorithm (Theorem 4.17).
-
-use std::collections::HashMap;
+//! The deterministic algorithm of Theorem 4.17: the merge-phase engine
+//! under its exact rule.
 
 use dsf_congest::{CongestConfig, RoundLedger, SimError};
 use dsf_graph::dyadic::Dyadic;
-use dsf_graph::{EdgeId, GraphBuilder, NodeId, WeightedGraph};
-use dsf_steiner::{ForestSolution, Instance, InstanceBuilder};
+use dsf_graph::{EdgeId, NodeId, WeightedGraph};
+use dsf_steiner::{ForestSolution, Instance};
 
-use crate::primitives::{
-    build_bfs_tree, filtered_upcast, flood_items, FloodItem, UpcastCandidate, UpcastMode,
-    UpcastRootVerdict,
-};
-
-use super::book::MoatBook;
-use super::voronoi::{decompose, VorStatus};
+use super::phases::{run_phases, PhaseRule};
 
 /// Configuration of the deterministic solver.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DetConfig {
     /// Override of the per-edge bandwidth (None: `CongestConfig::for_graph`).
     pub bandwidth_bits: Option<usize>,
-    /// Safety bound on merge phases (Lemma 4.4 guarantees `≤ 2k`).
-    pub max_phases: usize,
     /// Edges whose traffic is metered (lower-bound experiments).
     pub metered_cut: Vec<EdgeId>,
-}
-
-impl Default for DetConfig {
-    fn default() -> Self {
-        DetConfig {
-            bandwidth_bits: None,
-            max_phases: 10_000,
-            metered_cut: Vec::new(),
-        }
-    }
 }
 
 /// One accepted merge.
@@ -65,25 +46,6 @@ pub struct DetOutput {
     pub phases: usize,
     /// The merge log, in global order.
     pub merges: Vec<DetMerge>,
-}
-
-/// Packs an accepted candidate for flooding.
-fn pack_candidate(c: &UpcastCandidate) -> FloodItem {
-    let payload = ((c.a as u128) << 64) | ((c.b as u128) << 40) | (c.edge.0 as u128);
-    FloodItem { payload, bits: 64 }
-}
-
-/// Packs the phase growth `μ^{(j)}` (a non-negative dyadic).
-fn pack_mu(mu: Dyadic) -> FloodItem {
-    let (m, e) = mu.raw();
-    assert!(
-        (0..(1i128 << 80)).contains(&m) && e < 256,
-        "phase growth exceeds encoding"
-    );
-    FloodItem {
-        payload: (1u128 << 120) | ((m as u128) << 8) | e as u128,
-        bits: 96,
-    }
 }
 
 /// Solves DSF-IC with the deterministic distributed algorithm
@@ -128,265 +90,14 @@ pub fn solve_deterministic(
         congest.bandwidth_bits = b;
     }
     congest.metered_cut = cfg.metered_cut.iter().copied().collect();
-    let mut ledger = RoundLedger::new();
-
-    let minimal = inst.make_minimal();
-    let terms = minimal.terminals();
-    let tidx: HashMap<NodeId, u32> = terms
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| (t, i as u32))
-        .collect();
-
-    if terms.is_empty() {
-        return Ok(DetOutput {
-            forest: ForestSolution::empty(),
-            raw: ForestSolution::empty(),
-            rounds: ledger,
-            phases: 0,
-            merges: Vec::new(),
-        });
-    }
-
-    // Step 1: BFS tree + global broadcast of (terminal, label).
-    let bfs = build_bfs_tree(g, NodeId(0), &congest)?;
-    ledger.record("BFS tree construction", &bfs.metrics);
-    let label_items: Vec<Vec<FloodItem>> = g
-        .nodes()
-        .map(|v| match minimal.label(v) {
-            Some(l) => vec![FloodItem {
-                payload: ((v.0 as u128) << 32) | l.0 as u128,
-                bits: 64,
-            }],
-            None => Vec::new(),
-        })
-        .collect();
-    let lf = flood_items(g, label_items, &congest)?;
-    ledger.record("terminal label broadcast (Step 1)", &lf.metrics);
-
-    // Replicated bookkeeping + per-node region state.
-    let mut book = MoatBook::new(&minimal, &terms);
-    let n = g.n();
-    let mut owner: Vec<Option<u32>> = vec![None; n];
-    let mut rel: Vec<Dyadic> = vec![Dyadic::ZERO; n];
-    let mut parent_ptr: Vec<Option<NodeId>> = vec![None; n];
-    for (i, &t) in terms.iter().enumerate() {
-        owner[t.idx()] = Some(i as u32);
-    }
-
-    let mut merges: Vec<DetMerge> = Vec::new();
-    let mut accepted_all: Vec<UpcastCandidate> = Vec::new();
-    let mut phase = 0usize;
-
-    while book.active_moats() > 0 {
-        phase += 1;
-        assert!(
-            phase <= cfg.max_phases && phase <= 2 * minimal.k() + 1,
-            "phase count exceeds Lemma 4.4 bound"
-        );
-
-        // Stage a: terminal decomposition (Lemma 4.8).
-        let status: Vec<VorStatus> = g
-            .nodes()
-            .map(|u| match owner[u.idx()] {
-                Some(i) => {
-                    if book.moat_active(i as usize) {
-                        VorStatus::Source {
-                            owner: i,
-                            offset: rel[u.idx()],
-                        }
-                    } else {
-                        VorStatus::Blocked
-                    }
-                }
-                None => VorStatus::Free,
-            })
-            .collect();
-        let vor = decompose(g, &status, &congest)?;
-        ledger.record(
-            format!("phase {phase}: terminal decomposition"),
-            &vor.metrics,
-        );
-        ledger.charge(
-            format!("phase {phase}: BF termination detection O(D)"),
-            bfs.height() as u64,
-        );
-
-        // Combined view of this phase's (owner, offset, active?) per node.
-        let view = |u: usize| -> Option<(u32, Dyadic, bool)> {
-            match owner[u] {
-                Some(i) => {
-                    let active = status[u] != VorStatus::Blocked;
-                    Some((i, rel[u], active))
-                }
-                None => vor.tentative[u].map(|(off, i, _)| (i, off, true)),
-            }
-        };
-
-        // Stage b: candidate proposal over boundary edges (Def. 4.11).
-        let mut local: Vec<Vec<UpcastCandidate>> = vec![Vec::new(); n];
-        for (ei, e) in g.edges().iter().enumerate() {
-            let (u, w) = (e.u.idx(), e.v.idx());
-            let (Some((iu, offu, au)), Some((iw, offw, aw))) = (view(u), view(w)) else {
-                continue;
-            };
-            if iu == iw || (!au && !aw) {
-                continue;
-            }
-            let gap = offu + Dyadic::from_weight(e.w) + offw;
-            let mu = if au && aw { gap.half() } else { gap };
-            let (a, b) = if iu < iw { (iu, iw) } else { (iw, iu) };
-            local[u.min(w)].push(UpcastCandidate {
-                mu,
-                a,
-                b,
-                edge: EdgeId(ei as u32),
-            });
-        }
-        ledger.charge(format!("phase {phase}: boundary exchange"), 1);
-
-        // Stage c: filtered collection with phase-end detection (Cor 4.16).
-        let prior: Vec<u32> = (0..terms.len())
-            .map(|i| book.moats.find_const(i) as u32)
-            .collect();
-        let mut sim = book.clone();
-        let verdict = move |c: &UpcastCandidate| {
-            let (involved_inactive, new_active) = sim.apply(c.a as usize, c.b as usize);
-            if involved_inactive || !new_active {
-                UpcastRootVerdict::AcceptAndStop
-            } else {
-                UpcastRootVerdict::Accept
-            }
-        };
-        let up = filtered_upcast(
-            g,
-            &bfs.parent,
-            &bfs.children,
-            local,
-            &prior,
-            UpcastMode::PhaseDetect(Box::new(verdict)),
-            &congest,
-        )?;
-        ledger.record(
-            format!("phase {phase}: filtered merge collection"),
-            &up.metrics,
-        );
-        ledger.charge(
-            format!("phase {phase}: collection termination O(D)"),
-            bfs.height() as u64,
-        );
-        assert!(
-            up.stopped_early && !up.accepted.is_empty(),
-            "every phase ends with an activity-changing merge"
-        );
-        let mu_phase = up.accepted.last().expect("nonempty").mu;
-        debug_assert!(!mu_phase.is_negative(), "negative phase growth");
-
-        // Stage d: flood F_c^{(j)} and μ^{(j)} from the root.
-        let mut items: Vec<FloodItem> = up.accepted.iter().map(pack_candidate).collect();
-        items.push(pack_mu(mu_phase));
-        let mut initial = vec![Vec::new(); n];
-        initial[bfs.root.idx()] = items;
-        let fl = flood_items(g, initial, &congest)?;
-        ledger.record(format!("phase {phase}: broadcast F_c^(j)"), &fl.metrics);
-
-        // Local updates (radii, capture, parents) — act must be read at
-        // phase start, i.e. before merges are applied to `book`.
-        for u in 0..n {
-            match owner[u] {
-                Some(_) => {
-                    if matches!(status[u], VorStatus::Source { .. }) {
-                        rel[u] -= mu_phase;
-                    }
-                }
-                None => {
-                    if let Some((off, i, par)) = vor.tentative[u] {
-                        if off <= mu_phase {
-                            owner[u] = Some(i);
-                            rel[u] = off - mu_phase;
-                            parent_ptr[u] = Some(par);
-                        }
-                    }
-                }
-            }
-        }
-        // (Terminals are Voronoi sources, so their radii grew in the loop
-        // above: rad(v) += μ ⟺ rel(v) −= μ.)
-
-        // Apply merges to the canonical bookkeeping.
-        for c in &up.accepted {
-            book.apply(c.a as usize, c.b as usize);
-            merges.push(DetMerge {
-                v: terms[c.a as usize],
-                w: terms[c.b as usize],
-                mu: c.mu,
-                phase,
-                edge: c.edge,
-            });
-            accepted_all.push(*c);
-        }
-    }
-
-    // Final selection (E.1 Steps 4-6): minimal candidate subset in G_c,
-    // computed locally from global knowledge, then realized by marking
-    // region-tree paths.
-    let mut tb = GraphBuilder::new(terms.len());
-    for c in &accepted_all {
-        tb.add_edge(NodeId(c.a), NodeId(c.b), 1)
-            .expect("accepted merges form a forest");
-    }
-    let tg = tb.build_unchecked();
-    let mut ib = InstanceBuilder::new(&tg);
-    for comp in minimal.components() {
-        let mapped: Vec<NodeId> = comp.iter().map(|t| NodeId(tidx[t])).collect();
-        ib = ib.component(&mapped);
-    }
-    let inst_t = ib.build().expect("components are disjoint");
-    let all_tg: ForestSolution = (0..tg.m() as u32).map(EdgeId).collect();
-    let fmin = all_tg.prune_to_minimal(&tg, &inst_t);
-
-    let mut max_hops = 0u64;
-    let mut realize = |cands: &[usize]| -> ForestSolution {
-        let mut edges: Vec<EdgeId> = Vec::new();
-        for &ci in cands {
-            let c = &accepted_all[ci];
-            edges.push(c.edge);
-            let e = g.edge(c.edge);
-            for endpoint in [e.u, e.v] {
-                let mut cur = endpoint;
-                let mut hops = 0u64;
-                while let Some(p) = parent_ptr[cur.idx()] {
-                    edges.push(g.find_edge(cur, p).expect("parent is a neighbor"));
-                    cur = p;
-                    hops += 1;
-                    assert!(hops <= g.n() as u64, "parent pointer loop");
-                }
-                max_hops = max_hops.max(hops);
-            }
-        }
-        ForestSolution::from_edges(edges)
-    };
-    let raw = realize(&(0..accepted_all.len()).collect::<Vec<_>>());
-    let forest = realize(&fmin.edges().iter().map(|e| e.idx()).collect::<Vec<_>>());
-    ledger.charge(
-        "final selection: token marking O(s + D)",
-        max_hops + bfs.height() as u64,
-    );
-
-    Ok(DetOutput {
-        forest,
-        raw,
-        rounds: ledger,
-        phases: phase,
-        merges,
-    })
+    Ok(run_phases(g, inst, &congest, PhaseRule::Exact)?.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dsf_graph::generators;
-    use dsf_steiner::{exact, moat, random_instance};
+    use dsf_steiner::{exact, moat, random_instance, InstanceBuilder};
 
     fn check_instance(g: &WeightedGraph, inst: &Instance, tag: &str) -> DetOutput {
         let out = solve_deterministic(g, inst, &DetConfig::default()).unwrap();

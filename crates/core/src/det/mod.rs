@@ -1,6 +1,8 @@
-//! The deterministic distributed moat-growing algorithm (Section 4.1).
+//! The deterministic distributed moat-growing algorithms (Section 4): one
+//! merge-phase loop with two rules for when a phase ends.
 //!
-//! Per merge phase `j` (Definition 4.3) the driver runs:
+//! After a BFS tree and the global broadcast of the terminal labels
+//! (Step 1), each merge phase `j` (Definition 4.3) runs:
 //!
 //! 1. **Terminal decomposition** (Lemma 4.8): a multi-source Bellman–Ford
 //!    over the *uncovered* part of the graph, sourced at every node owned
@@ -13,10 +15,21 @@
 //! 3. **Filtered collection** (Corollary 4.16): the pipelined upcast of
 //!    [`crate::primitives::filtered_upcast`] streams candidates in
 //!    ascending `(μ, a, b, e)` order; the root replays moat bookkeeping
-//!    and stops at the first *activity-changing* merge — the phase end.
+//!    and stops where the rule says the phase ends.
 //! 4. **Dissemination**: `F_c^{(j)}` and the phase growth `μ^{(j)}` are
 //!    flooded; every node updates radii, capture status and region parent
 //!    pointers locally.
+//!
+//! The two rules:
+//!
+//! * **exact** ([`solve_deterministic`], Theorem 4.17): a phase ends at
+//!   the first *activity-changing* merge, and every merge settles the
+//!   merged moat's activity at once;
+//! * **rounded** ([`solve_growth`], Algorithm 2 of Section 4.2): a phase
+//!   ends before the first merge at or beyond the checkpoint `μ̂` (the
+//!   phase then grows exactly to `μ̂`) or at a merge involving an
+//!   inactive moat (Definition 4.19); activity is re-evaluated only at
+//!   checkpoints.
 //!
 //! After the last phase the minimal candidate subset `F_min` is computed
 //! locally from the globally known `F_c` and labels (Step 4 of the
@@ -26,6 +39,7 @@
 mod book;
 mod driver;
 pub mod growth;
+mod phases;
 pub mod voronoi;
 
 pub use driver::{solve_deterministic, DetConfig, DetOutput};

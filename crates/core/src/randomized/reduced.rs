@@ -9,7 +9,7 @@
 //! each cluster yields the reduced graph `Ĝ` whose ≤ `√n` super-terminals
 //! carry the merged labels.
 //!
-//! **Substitution (see DESIGN.md):** the paper solves the reduced instance
+//! **Substitution:** the paper solves the reduced instance
 //! with the spanner machinery of \[17\] in `Õ(√n + D)` rounds. We solve it
 //! with the centralized 2-approximate moat grower at a coordinator — a
 //! *stronger* approximation (2 ≤ O(log n), so Theorem 5.2's end-to-end

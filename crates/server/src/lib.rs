@@ -37,9 +37,9 @@
 //! in the results: a completed job's deterministic fields (forest, full
 //! round ledger, weight, ratio) are bit-identical to a direct `solve_*`
 //! call. This inherits the executor's thread-count invariance and the
-//! buffer pool's transparency, and is asserted end-to-end by
-//! `bench_runner --server`, the root `tests/server_streaming.rs` tier,
-//! and the corpus replay in `tests/conformance.rs`.
+//! buffer pool's transparency, and is asserted end-to-end by the crate's
+//! integration tests, the root `tests/server_streaming.rs` tier, and the
+//! corpus replay in `tests/conformance.rs`.
 
 mod job;
 mod server;

@@ -267,8 +267,8 @@ enum Lane {
 /// Scheduling is invisible in the results: every completed job's
 /// deterministic fields (forest, full round ledger, weight, ratio) are
 /// bit-identical to a direct `solve_*` call on a fresh session, whatever
-/// the queue did — `bench_runner --server` asserts exactly this under
-/// open-loop load.
+/// the queue did — `streamed_results_are_bit_identical_to_direct_solves`
+/// in the crate's integration tests asserts exactly this.
 ///
 /// # Example
 ///

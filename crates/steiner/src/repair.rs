@@ -10,34 +10,30 @@
 //!   paths ([`dsf_graph::dijkstra::multi_source_to`] with selected
 //!   edges at weight 0, stopping once the terminals are settled) exactly
 //!   like the gluttonous greedy realizes its merges;
-//! * [`reroute_components`] — a *global* repair move the swap/replace
-//!   local search of [`crate::local_search`] does not have: tear one
-//!   input component out of the forest entirely (prune against the
-//!   instance without it) and rebuild its connection from scratch over
-//!   the contracted remainder, accepted when strictly lighter.
+//! * [`optimize`] — the repair pipeline's finishing engine: a scoped
+//!   fixpoint over *four* move families — the swap/replace moves of
+//!   [`crate::local_search`] (swaps screened by a tree-path-maximum walk
+//!   instead of a trial Kruskal per chord), a whole-component reroute,
+//!   and a Steiner-elimination move that deletes a non-terminal branch
+//!   vertex's edges wholesale and reconnects, escaping local optima where
+//!   every one-edge trade is blocked.
 //!
 //! The reroute move matters after removals. A cached forest can carry a
 //! multi-edge detour that once rode for free on a since-departed
 //! component's tree; swap/replace moves only ever trade one edge at a
 //! time and can settle on such a detour, while a whole-component reroute
-//! re-chooses the connection in one step.
+//! — tear one input component out of the forest and reconnect it over
+//! the contracted remainder, accepted when strictly lighter — re-chooses
+//! the connection in one step.
 //!
-//! [`optimize`] is the repair pipeline's finishing engine: a scoped
-//! fixpoint over *four* move families — the swap/replace moves of
-//! [`crate::local_search`] (swaps screened by a tree-path-maximum walk
-//! instead of a trial Kruskal per chord), the whole-component reroute,
-//! and a Steiner-elimination move that deletes a non-terminal branch
-//! vertex's edges wholesale and reconnects, escaping local optima where
-//! every one-edge trade is blocked. Scanning is restricted to the trees
-//! a delta actually dirtied, so steady-state repairs cost a fraction of
-//! a from-scratch solve; every accepted move strictly decreases integer
-//! weight, so the fixpoint is reached in finitely many rounds.
-//! [`rebuild`] supplies a from-nothing candidate for callers that want
-//! to race a patched cache after structural damage.
+//! Scanning is restricted to the trees a delta actually dirtied, so
+//! steady-state repairs cost a fraction of a from-scratch solve; every
+//! accepted move strictly decreases integer weight, so the fixpoint is
+//! reached in finitely many rounds.
 
 use dsf_graph::{dijkstra, EdgeId, NodeId, Weight, WeightedGraph, INF};
 
-use crate::instance::{ComponentId, Instance, InstanceBuilder};
+use crate::instance::Instance;
 use crate::solution::ForestSolution;
 
 /// Extends `f` until every node of `terminals` lies in one tree.
@@ -100,74 +96,6 @@ pub fn connect_terminals(
     picked.lightest_spanning_forest(g)
 }
 
-/// One accepted reroute: which component was rebuilt and the total forest
-/// weight after the move (strictly decreasing across the returned trace).
-pub type RerouteTrace = Vec<(ComponentId, Weight)>;
-
-/// Improves `f` by whole-component reroutes to a fixpoint.
-///
-/// For each input component `c` (ascending id, first improvement wins):
-/// prune `f` against the instance *without* `c` to get the forest the
-/// other components still need, reconnect `c`'s terminals over that
-/// remainder with [`connect_terminals`], prune against the full instance,
-/// and accept iff the result is strictly lighter. Passes repeat until one
-/// accepts nothing.
-///
-/// Never increases weight, never breaks feasibility, deterministic;
-/// idempotent at its fixpoint. Returns the improved forest and the
-/// accepted-move trace.
-pub fn reroute_detailed(
-    g: &WeightedGraph,
-    inst: &Instance,
-    f: &ForestSolution,
-) -> (ForestSolution, RerouteTrace) {
-    let mut cur = f.lightest_spanning_forest(g).prune_to_minimal(g, inst);
-    let mut accepted = RerouteTrace::new();
-    loop {
-        let mut moved = false;
-        for c in 0..inst.k() {
-            let terms = &inst.components()[c];
-            if terms.len() < 2 {
-                continue;
-            }
-            let others = instance_without(g, inst, c);
-            let base = cur.prune_to_minimal(g, &others);
-            let candidate = connect_terminals(g, &base, terms).prune_to_minimal(g, inst);
-            if candidate.weight(g) < cur.weight(g) {
-                cur = candidate;
-                accepted.push((ComponentId(c as u32), cur.weight(g)));
-                moved = true;
-            }
-        }
-        if !moved {
-            break;
-        }
-    }
-    (cur, accepted)
-}
-
-/// [`reroute_detailed`] without the trace.
-pub fn reroute_components(
-    g: &WeightedGraph,
-    inst: &Instance,
-    f: &ForestSolution,
-) -> ForestSolution {
-    reroute_detailed(g, inst, f).0
-}
-
-/// Builds a forest for `inst` from nothing: components connected in
-/// instance order via [`connect_terminals`] (later components ride the
-/// earlier selection for free), pruned to minimal. The cheap full-rebuild
-/// candidate the repair pipeline races against a patched cache when the
-/// cache might be stale wholesale.
-pub fn rebuild(g: &WeightedGraph, inst: &Instance) -> ForestSolution {
-    let mut f = ForestSolution::empty();
-    for terms in inst.components() {
-        f = connect_terminals(g, &f, terms);
-    }
-    f.prune_to_minimal(g, inst)
-}
-
 /// Improves `start` to a fixpoint of four deterministic move families,
 /// scanning only the *dirty region* seeded by `scope`:
 ///
@@ -177,8 +105,8 @@ pub fn rebuild(g: &WeightedGraph, inst: &Instance) -> ForestSolution {
 /// 2. **path replace** — drop a forest edge, reconnect its sides along
 ///    the cheapest contracted path when feasibility still needs them;
 /// 3. **component reroute** — tear one input component out and rebuild
-///    its connection over the contracted remainder
-///    ([`reroute_detailed`]'s move);
+///    its connection over the contracted remainder with
+///    [`connect_terminals`];
 /// 4. **Steiner elimination** — delete a degree-≥3 non-terminal vertex's
 ///    forest edges wholesale and reconnect the split components, the
 ///    multi-edge restructuring none of the one-edge moves can express.
@@ -651,27 +579,17 @@ fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
     out
 }
 
-/// The instance with component `skip` deleted (remaining components keep
-/// their relative order; ids shift down).
-fn instance_without(g: &WeightedGraph, inst: &Instance, skip: usize) -> Instance {
-    let mut b = InstanceBuilder::new(g);
-    for (c, terms) in inst.components().iter().enumerate() {
-        if c != skip {
-            b = b.component(terms);
-        }
-    }
-    b.build().expect("subset of a valid instance stays valid")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::InstanceBuilder;
     use dsf_graph::{generators, GraphBuilder};
 
-    /// A stale detour: pair {4, 5} still connects over a 4-hop weight-12
-    /// spine that once rode on a since-departed component's tree, while a
-    /// direct weight-8 edge exists.
-    fn detour_trap() -> (WeightedGraph, Instance, ForestSolution) {
+    #[test]
+    fn optimize_replaces_a_stale_detour_with_the_direct_connection() {
+        // Pair {4, 5} still connects over a 4-hop weight-12 spine that
+        // once rode on a since-departed component's tree, while a direct
+        // weight-8 edge exists.
         let mut b = GraphBuilder::new(6);
         b.add_edge(NodeId(4), NodeId(0), 3).unwrap(); // e0
         b.add_edge(NodeId(0), NodeId(1), 3).unwrap(); // e1
@@ -685,38 +603,11 @@ mod tests {
             .build()
             .unwrap();
         let detour = ForestSolution::from_edges(vec![EdgeId(0), EdgeId(1), EdgeId(2), EdgeId(3)]);
-        (g, inst, detour)
-    }
-
-    #[test]
-    fn reroute_replaces_a_stale_detour_with_the_direct_connection() {
-        let (g, inst, detour) = detour_trap();
         assert_eq!(detour.weight(&g), 12);
-        let (out, trace) = reroute_detailed(&g, &inst, &detour);
+        let (out, moves) = optimize(&g, &inst, &detour, None);
         assert_eq!(out.edges(), &[EdgeId(4)]);
         assert_eq!(out.weight(&g), 8);
-        assert!(!trace.is_empty());
-        let mut prev = detour.weight(&g);
-        for &(_, w) in &trace {
-            assert!(w < prev, "non-decreasing reroute: {w} after {prev}");
-            prev = w;
-        }
-    }
-
-    #[test]
-    fn reroute_is_idempotent_and_preserves_feasibility() {
-        for seed in 0..6 {
-            let g = generators::gnp_connected(24, 0.2, 11, seed);
-            let inst = crate::random_instance(&g, 4, 2, seed);
-            let start = crate::greedy::solve_greedy(&g, &inst);
-            let (once, _) = reroute_detailed(&g, &inst, &start);
-            assert!(inst.is_feasible(&g, &once), "seed {seed}");
-            assert!(once.is_forest(&g), "seed {seed}");
-            assert!(once.weight(&g) <= start.weight(&g), "seed {seed}");
-            let (twice, trace) = reroute_detailed(&g, &inst, &once);
-            assert_eq!(once, twice, "seed {seed}");
-            assert!(trace.is_empty(), "seed {seed}: fixpoint still had moves");
-        }
+        assert_eq!(moves, 1);
     }
 
     #[test]
@@ -743,15 +634,5 @@ mod tests {
         let grown = connect_terminals(&g, &f, &[NodeId(1), NodeId(3)]);
         assert_eq!(grown.weight(&g), 3);
         assert!(grown.is_forest(&g));
-    }
-
-    #[test]
-    fn reroute_on_empty_instance_clears_everything() {
-        let g = generators::path(4, 1);
-        let inst = InstanceBuilder::new(&g).build().unwrap();
-        let full: ForestSolution = (0..3).map(EdgeId).collect();
-        let (out, trace) = reroute_detailed(&g, &inst, &full);
-        assert!(out.is_empty());
-        assert!(trace.is_empty());
     }
 }

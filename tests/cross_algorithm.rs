@@ -117,7 +117,6 @@ fn growth_eps_sweep_shrinks_checkpoints() {
         &inst,
         &GrowthConfig {
             eps: Dyadic::new(1, 3), // 1/8
-            ..GrowthConfig::default()
         },
     )
     .unwrap();
@@ -126,7 +125,6 @@ fn growth_eps_sweep_shrinks_checkpoints() {
         &inst,
         &GrowthConfig {
             eps: Dyadic::from_int(2),
-            ..GrowthConfig::default()
         },
     )
     .unwrap();

@@ -1,7 +1,7 @@
 //! Failure injection: the simulator must *reject* runs that violate the
 //! CONGEST model, and the solvers must surface those rejections instead of
 //! silently producing numbers — that enforcement is what makes the round
-//! counts in EXPERIMENTS.md meaningful.
+//! counts in the experiment tables (`paper_tables`) meaningful.
 
 use std::sync::Arc;
 

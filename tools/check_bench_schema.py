@@ -82,24 +82,6 @@ TIERS = {
         },
         {},
     ),
-    "server": (
-        "dsf-bench-server/v1",
-        {
-            "name": str,
-            "jobs": int,
-            "workers": int,
-            "queue_capacity": int,
-            "rate_milli_x": int,
-            "rounds": int,
-            "messages": int,
-            "wall_ns": int,
-            "offered_per_sec_milli": int,
-            "p50_ns": int,
-            "p99_ns": int,
-            "solves_per_sec_milli": int,
-        },
-        {},
-    ),
     "churn": (
         "dsf-bench-churn/v1",
         {
@@ -126,7 +108,6 @@ STEMS = {
     "BENCH_executor": "executor",
     "BENCH_scale": "executor",
     "BENCH_conformance": "conformance",
-    "BENCH_server": "server",
     "BENCH_churn": "churn",
 }
 
